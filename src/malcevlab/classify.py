@@ -10,10 +10,10 @@ from .engine import CheckReport, check_identity
 from .identities import builtin_catalog
 from .subspaces import (
     Subspace,
+    filtration,
     full_space,
     ideal_closure,
     jacobian_span,
-    power_chain,
     product_subspace,
 )
 
@@ -23,8 +23,8 @@ class TypeVerdict:
     """Where an algebra sits in the identity hierarchy.
 
     Implications lie => malcev => anticommutative and first_type =>
-    second_type are asserted on construction; they are theorems over the
-    rationals, so a violation means a broken checker.
+    second_type are enforced on construction (RuntimeError); they are
+    theorems over the rationals, so a violation means a broken checker.
     """
 
     anticommutative: bool
@@ -35,9 +35,12 @@ class TypeVerdict:
     witnesses: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        assert not self.lie or self.malcev
-        assert not self.malcev or self.anticommutative
-        assert not self.first_type or self.second_type
+        if (
+            (self.lie and not self.malcev)
+            or (self.malcev and not self.anticommutative)
+            or (self.first_type and not self.second_type)
+        ):
+            raise RuntimeError(f"verdict breaks the hierarchy implications: {self.summary()}")
 
     def summary(self) -> list:
         return [
@@ -102,18 +105,15 @@ def is_nilpotent(algebra: Algebra, k_cap: int | None = None):
     """(True, c) with A^c = 0 and A^(c-1) != 0, or (False, None).
 
     The class convention matches the power chain: nilpotent of class c
-    means every product of c factors vanishes.  The chain is strictly
-    descending until it stabilizes, so dim + 2 powers decide.
+    means every product of c factors vanishes.  The chain is read from the
+    algebra's cached filtration, which stops as soon as the powers reach
+    zero or stop shrinking.  k_cap (default dim + 2, at least 2) caps the
+    class that counts as nilpotent.
     """
     cap = k_cap if k_cap is not None else algebra.dim + 2
-    chain = power_chain(algebra, max(cap, 2))
-    previous = None
-    for k, space in enumerate(chain, start=1):
-        if space.is_zero():
-            return True, k
-        if previous is not None and space == previous:
-            return False, None
-        previous = space
+    _, c = filtration(algebra)
+    if c is not None and c <= max(cap, 2):
+        return True, c
     return False, None
 
 
@@ -135,5 +135,6 @@ def semiprime_witness(algebra: Algebra, jobs: int = 1) -> Subspace | None:
         return None
     witness = ideal_closure(algebra, jspan)
     square = product_subspace(algebra, witness, witness)
-    assert square.is_zero(), "square-zero witness failed; checker broken"
+    if not square.is_zero():
+        raise RuntimeError("square-zero witness failed; checker broken")
     return witness

@@ -296,8 +296,8 @@ def octonion_malcev() -> Algebra:
     for i in range(1, 8):
         for j in range(i + 1, 8):
             sign, k = mult[i][j]
-            # distinct imaginary units multiply to an imaginary unit
-            assert k != 0
+            if k == 0:
+                raise RuntimeError(f"octonion table: e{i}*e{j} is not an imaginary unit")
             products[(i - 1, j - 1)] = {k - 1: sign}
     labels = [f"f{i}" for i in range(1, 8)]
     return Algebra(7, labels, products, name="octonion_malcev")

@@ -10,11 +10,23 @@ hoists each subterm to the outermost enumeration depth at which all its
 variables are bound, so e.g. in a 5-variable check the subterm x1*x2 is
 recomputed dim^2 times rather than dim^5 times.  Values are sparse
 coefficient dicts; with integral structure constants every intermediate
-stays a Python int, which is what keeps the 23^5-tuple checks affordable.
+stays a Python int.
 
-Enumeration is lexicographic; parallel runs partition the first axis and
-merge by lexicographically smallest counterexample, so reports do not
-depend on the number of jobs.
+Tuples that are provably zero are skipped.  Each basis element has a
+weight w(e_i) = max{k : e_i in A^k} from the power chain, and A^a A^b lies
+in A^(a+b).  Every term of a multilinear identity is a product using each
+variable once, so at a tuple whose weights sum to the nilpotency class c
+or more (A^c = 0) every term is exactly zero, and the enumeration never
+descends into such tuples.  A non-nilpotent algebra has no class, and a
+variable of degree 0 (which linearization keeps) adds no factor to a
+product; in either case every tuple is evaluated.  Skipped tuples
+contribute nothing, so the verdict, the first counterexample and
+tuples_checked (the lexicographic rank of the decision point, or dim^n
+when the identity holds) are those of the plain scan over all dim^n tuples.
+
+Enumeration is lexicographic; parallel runs (unpruned scans only)
+partition the first axis and merge by lexicographically smallest
+counterexample, so reports do not depend on the number of jobs.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from fractions import Fraction
 from .algebra import Algebra, Element
 from .identities import Identity, IdentityError, linearize
 from .rationals import normalize
+from .subspaces import filtration
 
 
 @dataclass(frozen=True)
@@ -98,21 +111,33 @@ def _compile(terms, variables):
     return len(exprs), var_slot, [tuple(m) for m in muls_by_depth], weighted
 
 
-def _scan(algebra, program, n_vars, first_indices, collect):
+def _scan(algebra, program, n_vars, first_indices, collect, filt):
     """Evaluate the program over basis tuples.
 
     With collect=None, stops at the first tuple with nonzero residual and
     returns (indices, residual_dict) or None.  With a dict, stores every
     nonzero residual keyed by tuple and returns None.
+
+    filt is the algebra's filtration (weights, c).  With a class c, each
+    depth after the first iterates only the indices whose weight still
+    leaves the tuple's total below c, counting one for every variable not
+    yet bound; the caller filters the first axis the same way
+    (_first_axis).  Tuples are visited in lexicographic order either way.
     """
     n_slots, var_slot, muls_by_depth, weighted = program
     values = [None] * n_slots
     idx = [0] * n_vars
-    dim = algebra.dim
+    every = range(algebra.dim)
     mul = algebra.multiply_sparse
     last = n_vars - 1
+    weights, c = filt
+    if c is not None:
+        # by_budget[b]: the indices of weight at most b, in increasing order
+        by_budget = [tuple(i for i, w in enumerate(weights) if w <= b) for b in range(c)]
+        # slack[d]: the largest weight sum idx[0..d] may have
+        slack = [c - 1 - (last - d) for d in range(n_vars)]
 
-    def run(d, todo):
+    def run(d, todo, spent):
         vs = var_slot[d]
         my_muls = muls_by_depth[d]
         for i in todo:
@@ -139,19 +164,28 @@ def _scan(algebra, program, n_vars, first_indices, collect):
                         return tuple(idx), acc
                     collect[tuple(idx)] = acc
             else:
-                hit = run(d + 1, range(dim))
+                if c is None:
+                    hit = run(d + 1, every, 0)
+                else:
+                    s = spent + weights[i]
+                    hit = run(d + 1, by_budget[max(slack[d + 1] - s, 0)], s)
                 if hit is not None:
                     return hit
         return None
 
-    return run(0, first_indices)
+    return run(0, first_indices, 0)
 
 
-def _sparse_element(algebra, vec: dict) -> Element:
-    coords = [0] * algebra.dim
-    for k, c in vec.items():
-        coords[k] = c
-    return Element(coords)
+# the filtration without a class: every tuple is evaluated
+_UNPRUNED = (None, None)
+
+
+def _first_axis(filt, dim: int, n_vars: int):
+    """First-axis indices that can start a tuple of weight sum below c."""
+    weights, c = filt
+    if c is None:
+        return range(dim)
+    return tuple(i for i, w in enumerate(weights) if w <= c - n_vars)
 
 
 def _rank(indices, dim) -> int:
@@ -166,26 +200,26 @@ def _rank(indices, dim) -> int:
 _WORKER_STATE = None
 
 
-def _init_worker(algebra, program, n_vars):
+def _init_worker(algebra, program, n_vars, filt):
     global _WORKER_STATE
-    _WORKER_STATE = (algebra, program, n_vars)
+    _WORKER_STATE = (algebra, program, n_vars, filt)
 
 
 def _scan_index(i):
-    algebra, program, n_vars = _WORKER_STATE
-    return _scan(algebra, program, n_vars, (i,), None)
+    algebra, program, n_vars, filt = _WORKER_STATE
+    return _scan(algebra, program, n_vars, (i,), None, filt)
 
 
 def _collect_index(i):
-    algebra, program, n_vars = _WORKER_STATE
+    algebra, program, n_vars, filt = _WORKER_STATE
     found: dict = {}
-    _scan(algebra, program, n_vars, (i,), found)
+    _scan(algebra, program, n_vars, (i,), found, filt)
     return found
 
 
-def _pool(algebra, program, n_vars, jobs):
+def _pool(algebra, program, n_vars, filt, jobs):
     return multiprocessing.get_context("fork").Pool(
-        jobs, initializer=_init_worker, initargs=(algebra, program, n_vars)
+        jobs, initializer=_init_worker, initargs=(algebra, program, n_vars, filt)
     )
 
 
@@ -193,8 +227,10 @@ def _pool(algebra, program, n_vars, jobs):
 _PARALLEL_THRESHOLD = 100_000
 
 
-def _use_pool(dim: int, n_vars: int, jobs: int) -> bool:
-    return jobs > 1 and dim >= jobs and dim ** n_vars >= _PARALLEL_THRESHOLD
+def _use_pool(filt, total: int, jobs: int) -> bool:
+    # with a class, pruning leaves a small fraction of the total: on the
+    # nilpotent algebras at hand the pool costs more than the pruned scan
+    return jobs > 1 and filt[1] is None and total >= _PARALLEL_THRESHOLD
 
 
 def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckReport:
@@ -213,23 +249,27 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
     if not terms or dim == 0:
         return CheckReport("holds", checked, total)
     program = _compile(terms, checked.variables)
+    # a degree-0 variable adds no factor to any product, so the weight
+    # bound holds only when every variable has degree 1
+    filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
+    first = _first_axis(filt, dim, n_vars)
 
-    if _use_pool(dim, n_vars, jobs):
+    if _use_pool(filt, total, jobs):
         hit = None
         # ordered consumption: the first hit seen is the lexicographically
         # smallest, and breaking lets the context manager kill the rest
-        with _pool(algebra, program, n_vars, jobs) as pool:
-            for result in pool.imap(_scan_index, range(dim)):
+        with _pool(algebra, program, n_vars, filt, jobs) as pool:
+            for result in pool.imap(_scan_index, first):
                 if result is not None:
                     hit = result
                     break
     else:
-        hit = _scan(algebra, program, n_vars, range(dim), None)
+        hit = _scan(algebra, program, n_vars, first, None, filt)
 
     if hit is None:
         return CheckReport("holds", checked, total)
     indices, residual = hit
-    witness = Counterexample(indices, _sparse_element(algebra, residual))
+    witness = Counterexample(indices, algebra._from_sparse(residual))
     return CheckReport("fails", checked, _rank(indices, dim) + 1, witness)
 
 
@@ -252,15 +292,16 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
     if not terms or dim == 0 or n_vars < 2:
         return CheckReport("holds", map_ident, total)
     program = _compile(terms, map_ident.variables)
+    filt = filtration(algebra)
+    first = _first_axis(filt, dim, n_vars)
 
-    if _use_pool(dim, n_vars, jobs):
-        nonzero: dict = {}
-        with _pool(algebra, program, n_vars, jobs) as pool:
-            for part in pool.imap_unordered(_collect_index, range(dim)):
+    nonzero: dict = {}
+    if _use_pool(filt, total, jobs):
+        with _pool(algebra, program, n_vars, filt, jobs) as pool:
+            for part in pool.imap_unordered(_collect_index, first):
                 nonzero.update(part)
     else:
-        nonzero = {}
-        _scan(algebra, program, n_vars, range(dim), nonzero)
+        _scan(algebra, program, n_vars, first, nonzero, filt)
 
     best = None
     for t, value in nonzero.items():
@@ -284,7 +325,7 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
     if best is None:
         return CheckReport("holds", map_ident, total)
     (at, ax), residual = best
-    witness = Counterexample(at, _sparse_element(algebra, residual), (ax, ax + 1))
+    witness = Counterexample(at, algebra._from_sparse(residual), (ax, ax + 1))
     return CheckReport("fails", map_ident, total, counterexample=witness)
 
 

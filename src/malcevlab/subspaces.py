@@ -10,6 +10,7 @@ their matrices are identical.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import Algebra, DimensionMismatch, Element
 from .rationals import normalize
@@ -203,13 +204,13 @@ def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subsp
     return ech.subspace()
 
 
-def power_chain(algebra: Algebra, k_max: int) -> list:
-    """[A^1, ..., A^k_max] with A^k = sum of A^i A^j over i + j = k
-    (all association patterns); the chain is descending."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+def _powers(algebra: Algebra):
+    """Yield A^1, A^2, ... without end; each power is built from the ones
+    already yielded, so a consumer pays only for the powers it takes."""
     chain = [full_space(algebra)]
-    for k in range(2, k_max + 1):
+    yield chain[0]
+    while True:
+        k = len(chain) + 1
         ech = _Echelon(algebra.dim)
         for i in range(1, k // 2 + 1):
             left, right = chain[i - 1], chain[k - i - 1]
@@ -219,7 +220,42 @@ def power_chain(algebra: Algebra, k_max: int) -> list:
                     if prod:
                         ech.insert(_dense(prod, algebra.dim))
         chain.append(ech.subspace())
-    return chain
+        yield chain[-1]
+
+
+def power_chain(algebra: Algebra, k_max: int) -> list:
+    """[A^1, ..., A^k_max] with A^k = sum of A^i A^j over i + j = k
+    (all association patterns); the chain is descending."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    return list(islice(_powers(algebra), k_max))
+
+
+def filtration(algebra: Algebra):
+    """(weights, c): weights[i] = max{k : e_i in A^k}, and c the nilpotency
+    class (A^c = 0, A^(c-1) != 0), or None when the power chain stops
+    shrinking at a nonzero power.
+
+    Since A^a A^b lies in A^(a+b), a product tree of basis elements whose
+    weights sum to c or more is exactly zero.  The chain is built only
+    until it reaches zero or repeats a power (it is strictly descending
+    before that, so at most dim + 1 steps), and the result is cached on the
+    algebra, which is immutable.
+    """
+    cached = getattr(algebra, "_filtration", None)
+    if cached is not None:
+        return cached
+    chain = []
+    for space in _powers(algebra):
+        if space.is_zero() or (chain and space == chain[-1]):
+            break
+        chain.append(space)
+    c = len(chain) + 1 if space.is_zero() else None
+    weights = tuple(
+        sum(1 for power in chain if power.contains(e)) for e in algebra.basis()
+    )
+    algebra._filtration = (weights, c)
+    return algebra._filtration
 
 
 def lie_kernel(algebra: Algebra) -> Subspace:
@@ -367,7 +403,8 @@ def subalgebra_generate(algebra: Algebra, gens):
                     for k, rv in enumerate(sub.rows[t]):
                         if rv:
                             check[k] -= c * rv
-            assert not any(check), "generated subspace not closed under products"
+            if any(check):
+                raise RuntimeError("generated subspace not closed under products")
             if coords:
                 products[(a, b)] = coords
     labels = [algebra.format_element(Element(r), compact=True) for r in sub.rows]

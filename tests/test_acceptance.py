@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -297,16 +298,23 @@ def test_criterion_11_oracle_crosscheck(animals):
            "the exhaustive linearized verdict", t.elapsed)
 
 
+GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify_seed0.txt"
+
+
 def test_criterion_12_determinism(tmp_path):
+    # both runs must equal the machine-readable certificate recorded before
+    # any search optimisation, byte for byte, hence also each other
+    golden = GOLDEN_REPORT.read_bytes()
     with timer() as t:
-        cmd = [sys.executable, "-m", "malcevlab.cli", "verify-paper", "--seed", "0"]
-        first = subprocess.run(cmd, capture_output=True, text=True, timeout=1200)
-        second = subprocess.run(cmd, capture_output=True, text=True, timeout=1200)
+        cmd = [sys.executable, "-m", "malcevlab.cli", "verify-paper", "--seed", "0",
+               "--format", "machine-readable"]
+        first = subprocess.run(cmd, capture_output=True, timeout=1200)
+        second = subprocess.run(cmd, capture_output=True, timeout=1200)
         ok = (
             first.returncode == 0
             and second.returncode == 0
-            and first.stdout == second.stdout
-            and len(first.stdout) > 0
+            and first.stdout == second.stdout == golden
+            and len(golden) > 0
         )
-    report(12, ok, "two verify-paper --seed 0 runs exit 0 with byte-identical reports",
-           t.elapsed)
+    report(12, ok, "two verify-paper --seed 0 runs exit 0 with byte-identical reports "
+           "equal to the recorded golden report", t.elapsed)

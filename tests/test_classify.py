@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
 from malcevlab import (
+    TypeVerdict,
     classify,
     full_space,
     is_nilpotent,
@@ -64,6 +68,10 @@ def test_is_nilpotent_values(atilde, base22):
     assert is_nilpotent(base22) == (True, 4)
     assert is_nilpotent(cross_product_algebra()) == (False, None)
     assert is_nilpotent(free_anticommutative(2, 5)) == (True, 5)
+    # k_cap caps the class that counts
+    assert is_nilpotent(atilde, k_cap=4) == (False, None)
+    assert is_nilpotent(atilde, k_cap=5) == (True, 5)
+    assert is_nilpotent(abelian_algebra(2), k_cap=1) == (True, 2)
 
 
 def test_semiprime_witness_on_example(atilde):
@@ -84,3 +92,15 @@ def test_semiprime_witness_none_for_lie(animals):
 def test_semiprime_witness_precondition():
     with pytest.raises(ValueError):
         semiprime_witness(free_anticommutative(3, 5))
+
+
+def test_verdict_guard_survives_optimized_mode():
+    # lie without malcev breaks an implication; the guard must also fire
+    # under python -O, which strips assert statements
+    with pytest.raises(RuntimeError):
+        TypeVerdict(True, True, False, False, False)
+    code = "from malcevlab import TypeVerdict; TypeVerdict(True, True, False, False, False)"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "RuntimeError: verdict breaks the hierarchy implications" in proc.stderr

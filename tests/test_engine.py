@@ -10,6 +10,7 @@ from malcevlab import (
     parse_identity,
     parse_map,
 )
+from malcevlab import engine
 from malcevlab.construct import (
     abelian_algebra,
     cross_product_algebra,
@@ -57,40 +58,66 @@ def test_counterexample_reevaluates_nonzero(atilde):
     assert not value.is_zero()
 
 
-def test_parallel_jobs_agree_with_serial(atilde):
+@pytest.fixture
+def force_pool(monkeypatch):
+    # the pool serves unpruned scans (non-nilpotent algebras) of at least
+    # _PARALLEL_THRESHOLD tuples; the octonion checks have 7^4, so lower it
+    # to make these tests exercise the pool path
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+
+
+def _outcome(report):
+    cx = report.counterexample
+    witness = None if cx is None else (cx.indices, cx.residual, cx.transposition)
+    return report.status, report.tuples_checked, witness
+
+
+def test_parallel_jobs_agree_with_serial(force_pool):
+    oct7 = octonion_malcev()
     ident = catalog_identity("first_type_4")
-    serial = check_identity(atilde, ident, jobs=1)
-    parallel = check_identity(atilde, ident, jobs=2)
+    serial = check_identity(oct7, ident, jobs=1)
+    parallel = check_identity(oct7, ident, jobs=2)
     assert serial.status == parallel.status == "fails"
     assert serial.counterexample.indices == parallel.counterexample.indices
     assert serial.counterexample.residual == parallel.counterexample.residual
     assert serial.tuples_checked == parallel.tuples_checked
 
 
-def test_parallel_jobs_agree_when_identity_holds(atilde):
-    ident = catalog_identity("two_w_jacobian")
-    serial = check_identity(atilde, ident, jobs=1)
-    parallel = check_identity(atilde, ident, jobs=2)
-    assert serial.ok and parallel.ok
-    assert serial.tuples_checked == parallel.tuples_checked == 23 ** 4
-
-
-def test_parallel_jobs_agree_for_skew_checks(atilde):
-    xi = parse_map("x1,x2,x3,x4 | J(x1,x2,x3*x4)", name="xi")
-    serial = check_skew_symmetric(atilde, xi, jobs=1)
-    parallel = check_skew_symmetric(atilde, xi, jobs=2)
-    assert serial.ok and parallel.ok
-    assert serial.tuples_checked == parallel.tuples_checked == 23 ** 4
-
-
-def test_small_workloads_skip_the_pool():
-    # pool startup costs more than tiny scans; results must still agree
+def test_parallel_jobs_agree_when_identity_holds(force_pool):
     oct7 = octonion_malcev()
     ident = catalog_identity("malcev")
     serial = check_identity(oct7, ident, jobs=1)
     parallel = check_identity(oct7, ident, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.tuples_checked == parallel.tuples_checked == 7 ** 4
+
+
+def test_parallel_jobs_agree_for_skew_checks(force_pool):
+    oct7 = octonion_malcev()
+    jac = parse_map("x1,x2,x3 | J(x1,x2,x3)", name="jac")
+    xi = parse_map("x1,x2,x3,x4 | J(x1,x2,x3*x4)", name="xi")
+    serial, parallel = (check_skew_symmetric(oct7, jac, jobs=j) for j in (1, 2))
+    assert serial.ok and parallel.ok
+    assert serial.tuples_checked == parallel.tuples_checked == 7 ** 3
+    serial, parallel = (check_skew_symmetric(oct7, xi, jobs=j) for j in (1, 2))
+    assert serial.status == "fails"
+    assert _outcome(serial) == _outcome(parallel)
+
+
+def test_small_workloads_skip_the_pool(atilde, monkeypatch):
+    # pool startup costs more than tiny scans; results must still agree
+    def no_pool(*args):
+        raise AssertionError("pool started for a small scan")
+
+    monkeypatch.setattr(engine, "_pool", no_pool)
+    oct7 = octonion_malcev()
+    ident = catalog_identity("malcev")
+    serial = check_identity(oct7, ident, jobs=1)
+    parallel = check_identity(oct7, ident, jobs=2)
+    assert serial.ok and parallel.ok
+    assert serial.tuples_checked == parallel.tuples_checked == 7 ** 4
+    # 23^4 tuples, but the algebra is nilpotent and pruning leaves 4^4
+    assert check_identity(atilde, ident, jobs=2).tuples_checked == 23 ** 4
 
 
 def test_multilinear_completeness_crosscheck():
