@@ -13,7 +13,6 @@ from .algebra import (
     BilinearForm,
     DimensionMismatch,
     Element,
-    element_equal,
 )
 from .classify import TypeVerdict, classify, is_nilpotent, semiprime_witness
 from .construct import (

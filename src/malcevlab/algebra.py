@@ -74,11 +74,24 @@ class Element:
         return f"Element({list(self.coords)!r})"
 
 
-def element_equal(u: Element, v: Element) -> bool:
-    """Exact coordinatewise equality; rejects mismatched lengths."""
-    if len(u.coords) != len(v.coords):
-        raise DimensionMismatch()
-    return u.coords == v.coords
+def accumulate(acc: dict, coeff, items) -> dict:
+    """acc += coeff * vec, in place, for vec given as (index, value) pairs.
+
+    An entry that cancels to zero is deleted, so with a nonzero coeff and
+    nonzero values acc never stores a zero.  This is the one sparse-vector
+    kernel: products, residuals and Jacobians all accumulate through it.
+    """
+    for k, c in items:
+        w = acc.get(k)
+        if w is None:
+            acc[k] = coeff * c
+        else:
+            w = w + coeff * c
+            if w:
+                acc[k] = w
+            else:
+                del acc[k]
+    return acc
 
 
 class Algebra:
@@ -156,17 +169,7 @@ class Algebra:
             for j, b in v.items():
                 cell = pairs.get((i, j))
                 if cell:
-                    ab = a * b
-                    for k, c in cell:
-                        w = out.get(k)
-                        if w is None:
-                            out[k] = ab * c
-                        else:
-                            w = w + ab * c
-                            if w:
-                                out[k] = w
-                            else:
-                                del out[k]
+                    accumulate(out, a * b, cell)
         return out
 
     def _from_sparse(self, vec: dict) -> Element:
@@ -233,7 +236,7 @@ class Algebra:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
 
     @classmethod
@@ -287,7 +290,7 @@ class Algebra:
 
     @classmethod
     def load(cls, path, name: str = "") -> "Algebra":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_text(fh.read(), name=name or str(path))
 
 

@@ -101,20 +101,16 @@ def classify(algebra: Algebra, jobs: int = 1) -> TypeVerdict:
     )
 
 
-def is_nilpotent(algebra: Algebra, k_cap: int | None = None):
+def is_nilpotent(algebra: Algebra):
     """(True, c) with A^c = 0 and A^(c-1) != 0, or (False, None).
 
     The class convention matches the power chain: nilpotent of class c
-    means every product of c factors vanishes.  The chain is read from the
-    algebra's cached filtration, which stops as soon as the powers reach
-    zero or stop shrinking.  k_cap (default dim + 2, at least 2) caps the
-    class that counts as nilpotent.
+    means every product of c factors vanishes.  The class is read from the
+    algebra's cached filtration, whose chain stops as soon as the powers
+    reach zero or stop shrinking.
     """
-    cap = k_cap if k_cap is not None else algebra.dim + 2
     _, c = filtration(algebra)
-    if c is not None and c <= max(cap, 2):
-        return True, c
-    return False, None
+    return c is not None, c
 
 
 def semiprime_witness(algebra: Algebra, jobs: int = 1) -> Subspace | None:

@@ -16,7 +16,7 @@ from .construct import BasisCapExceeded, build_descriptor
 from .engine import check_identity
 from .identities import IdentityError, builtin_catalog, parse_identity
 from .rationals import format_rational, parse_rational
-from .subspaces import lie_kernel, power_chain, subalgebra_generate
+from .subspaces import lie_kernel, power_chain, stable_powers, subalgebra_generate
 from .verify import render_machine, render_text, run_suite, suite_passed
 
 
@@ -50,17 +50,7 @@ def _build_parser():
 
     p = sub.add_parser("check", help="check an identity (catalog name or DSL) on an algebra file")
     p.add_argument("file")
-    p.add_argument(
-        "identity",
-        nargs="?",
-        help="catalog name, or DSL 'name : vars | expr = expr'",
-    )
-    p.add_argument(
-        "--identity",
-        dest="identity_flag",
-        metavar="NAME",
-        help="catalog name lookup (alternative to the positional argument)",
-    )
+    p.add_argument("identity", help="catalog name, or DSL 'name : vars | expr = expr'")
     _common_flags(p)
 
     p = sub.add_parser("classify", help="report where an algebra sits in the identity hierarchy")
@@ -107,9 +97,9 @@ def _emit(pairs):
 def _load(path) -> Algebra:
     try:
         return Algebra.load(path, name=str(path))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise _UsageError(str(exc)) from exc
-    except AlgebraFormatError as exc:
+    except (UnicodeDecodeError, AlgebraFormatError) as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
@@ -137,10 +127,7 @@ def _resolve_identity(text: str):
 
 def _cmd_check(args) -> int:
     algebra = _load(args.file)
-    requested = args.identity or args.identity_flag
-    if not requested or (args.identity and args.identity_flag):
-        raise _UsageError("give exactly one identity (positional or --identity NAME)")
-    ident = _resolve_identity(requested)
+    ident = _resolve_identity(args.identity)
     report = check_identity(algebra, ident, jobs=args.jobs)
     pairs = [
         ("identity", ident.name),
@@ -192,16 +179,10 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_powers(args) -> int:
     algebra = _load(args.file)
-    k_max = args.max if args.max is not None else algebra.dim + 2
-    chain = power_chain(algebra, max(k_max, 1))
     if args.max is None:
-        # trim once the chain stabilizes or hits zero
-        trimmed = [chain[0]]
-        for space in chain[1:]:
-            trimmed.append(space)
-            if space.is_zero() or space == trimmed[-2]:
-                break
-        chain = trimmed
+        chain = stable_powers(algebra)
+    else:
+        chain = power_chain(algebra, max(args.max, 1))
     pairs = [("algebra", f"{args.file} (dim {algebra.dim})")]
     for k, space in enumerate(chain, start=1):
         pairs.append((f"power.{k}", space.dim))

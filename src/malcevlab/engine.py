@@ -35,7 +35,7 @@ import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, accumulate
 from .identities import Identity, IdentityError, linearize
 from .rationals import normalize
 from .subspaces import filtration
@@ -149,16 +149,7 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt):
             if d == last:
                 acc: dict = {}
                 for coeff, slot in weighted:
-                    for k, x in values[slot].items():
-                        w = acc.get(k)
-                        if w is None:
-                            acc[k] = coeff * x
-                        else:
-                            w = w + coeff * x
-                            if w:
-                                acc[k] = w
-                            else:
-                                del acc[k]
+                    accumulate(acc, coeff, values[slot].items())
                 if acc:
                     if collect is None:
                         return tuple(idx), acc
@@ -309,14 +300,7 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
             swapped = list(t)
             swapped[ax], swapped[ax + 1] = swapped[ax + 1], swapped[ax]
             s = tuple(swapped)
-            other = nonzero.get(s, {})
-            residual = dict(other)
-            for k, c in value.items():
-                w = residual.get(k, 0) + c
-                if w:
-                    residual[k] = w
-                else:
-                    residual.pop(k, None)
+            residual = accumulate(dict(nonzero.get(s, {})), 1, value.items())
             if residual:
                 at = min(t, s)
                 key = (at, ax)

@@ -113,15 +113,7 @@ class Identity:
 
     def residual_terms(self) -> tuple:
         """lhs - rhs as one combined weighted-term list (zeros dropped)."""
-        combined: dict = {}
-        order: list = []
-        for sign, side in ((1, self.lhs), (-1, self.rhs)):
-            for coeff, tree in side:
-                if tree not in combined:
-                    combined[tree] = 0
-                    order.append(tree)
-                combined[tree] += sign * coeff
-        return tuple((normalize(combined[t]), t) for t in order if combined[t])
+        return _combine(self.lhs + tuple((-coeff, tree) for coeff, tree in self.rhs))
 
     def _side_to_str(self, side) -> str:
         if not side:
@@ -286,6 +278,7 @@ class _Parser:
 
 
 def _combine(terms) -> tuple:
+    """Sum the coefficients of equal terms in first-occurrence order; drop zero sums."""
     acc: dict = {}
     order: list = []
     for coeff, tree in terms:

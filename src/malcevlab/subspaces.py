@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import Algebra, DimensionMismatch, Element
+from .algebra import Algebra, DimensionMismatch, Element, accumulate
 from .rationals import normalize
 
 
@@ -161,14 +161,10 @@ def _sparse(row) -> dict:
 
 def _jac_sparse(algebra: Algebra, u: dict, v: dict, w: dict) -> dict:
     mul = algebra.multiply_sparse
-    out = dict(mul(mul(u, v), w))
+    out = mul(mul(u, v), w)
     for part in (mul(mul(v, w), u), mul(mul(w, u), v)):
-        for k, c in part.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        if part:  # most parts are zero: skip the call
+            accumulate(out, 1, part.items())
     return out
 
 
@@ -231,28 +227,40 @@ def power_chain(algebra: Algebra, k_max: int) -> list:
     return list(islice(_powers(algebra), k_max))
 
 
+def stable_powers(algebra: Algebra) -> tuple:
+    """(A^1, A^2, ..., A^m), ending at the first power that is zero or
+    equals the one before it.
+
+    The chain strictly descends before that point, so m <= dim + 1.  It is
+    built once and cached on the algebra, which is immutable.
+    """
+    cached = getattr(algebra, "_stable_powers", None)
+    if cached is None:
+        chain = []
+        for space in _powers(algebra):
+            chain.append(space)
+            if space.is_zero() or (len(chain) > 1 and space == chain[-2]):
+                break
+        cached = algebra._stable_powers = tuple(chain)
+    return cached
+
+
 def filtration(algebra: Algebra):
     """(weights, c): weights[i] = max{k : e_i in A^k}, and c the nilpotency
     class (A^c = 0, A^(c-1) != 0), or None when the power chain stops
     shrinking at a nonzero power.
 
     Since A^a A^b lies in A^(a+b), a product tree of basis elements whose
-    weights sum to c or more is exactly zero.  The chain is built only
-    until it reaches zero or repeats a power (it is strictly descending
-    before that, so at most dim + 1 steps), and the result is cached on the
-    algebra, which is immutable.
+    weights sum to c or more is exactly zero.  Both are read from
+    stable_powers and cached on the algebra.
     """
     cached = getattr(algebra, "_filtration", None)
     if cached is not None:
         return cached
-    chain = []
-    for space in _powers(algebra):
-        if space.is_zero() or (chain and space == chain[-1]):
-            break
-        chain.append(space)
-    c = len(chain) + 1 if space.is_zero() else None
+    chain = stable_powers(algebra)
+    c = len(chain) if chain[-1].is_zero() else None
     weights = tuple(
-        sum(1 for power in chain if power.contains(e)) for e in algebra.basis()
+        sum(1 for power in chain[:-1] if power.contains(e)) for e in algebra.basis()
     )
     algebra._filtration = (weights, c)
     return algebra._filtration

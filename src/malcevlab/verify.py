@@ -75,6 +75,7 @@ class _Session:
             self.zoo["second_type_23"].name = "second_type_23"
         self.example = self.zoo["second_type_23"]
         self._reports: dict = {}
+        self._structure: dict = {}
 
     def report(self, algebra: Algebra, identity_name: str) -> CheckReport:
         key = (algebra.name, identity_name)
@@ -82,6 +83,13 @@ class _Session:
             ident = self.catalog[identity_name].identity
             self._reports[key] = check_identity(algebra, ident, jobs=self.jobs)
         return self._reports[key]
+
+    def structure(self, algebra: Algebra):
+        """(power_chain(algebra, 5), lie_kernel(algebra)), computed once."""
+        key = algebra.name
+        if key not in self._structure:
+            self._structure[key] = (power_chain(algebra, 5), lie_kernel(algebra))
+        return self._structure[key]
 
     def rng(self, check_key: str) -> random.Random:
         return random.Random(f"{self.seed}:{check_key}")
@@ -184,8 +192,7 @@ def _check_skew(s: _Session):
 
 def _check_structure_suite(s: _Session):
     at = s.example
-    chain = power_chain(at, 5)
-    kernel = lie_kernel(at)
+    chain, kernel = s.structure(at)
 
     ok_a = kernel.contains_subspace(chain[2])
     quotient, _ = quotient_algebra(at, kernel)
@@ -264,8 +271,7 @@ def _power_triples():
 
 def _check_fourth_power(s: _Session):
     at = s.example
-    chain = power_chain(at, 4)
-    kernel = lie_kernel(at)
+    chain, kernel = s.structure(at)
     yield _result(
         "structure.fourth_power_in_kernel",
         "A^4 is contained in the Lie kernel",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,11 @@ from malcevlab import (
     BilinearForm,
     DimensionMismatch,
     Element,
-    element_equal,
 )
+from malcevlab.algebra import accumulate
 from malcevlab.classify import anticommutative_sweep
 from malcevlab.construct import cross_product_algebra, octonion_malcev
+from malcevlab.subspaces import _jac_sparse
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -33,14 +35,7 @@ def test_element_basics():
     assert Element([0, 0]).is_zero()
     assert (e + (-e)).is_zero()
     assert e.scale(Fraction(1, 2)).coords == (Fraction(1, 2), 1, 0)
-
-
-def test_element_equal_rejects_mismatch():
-    with pytest.raises(DimensionMismatch):
-        element_equal(Element([1]), Element([1, 0]))
-    assert element_equal(Element([0, 0]), Element([0, 0]))
-    u = Element([1, Fraction(1, 2)])
-    assert element_equal(u, u)
+    assert Element([1]) != Element([1, 0])
 
 
 def test_multiply_requires_matching_dimension():
@@ -81,10 +76,10 @@ def test_multiply_is_bilinear(data):
     a = data.draw(small_rationals)
     left = cross.multiply(u.scale(a) + u2, v)
     right = cross.multiply(u, v).scale(a) + cross.multiply(u2, v)
-    assert element_equal(left, right)
+    assert left == right
     left = cross.multiply(v, u.scale(a) + u2)
     right = cross.multiply(v, u).scale(a) + cross.multiply(v, u2)
-    assert element_equal(left, right)
+    assert left == right
 
 
 @settings(max_examples=40)
@@ -98,9 +93,57 @@ def test_jacobian_is_alternating(data):
     assert oct7.jacobian(x, y, y).is_zero()
     assert oct7.jacobian(x, y, x).is_zero()
     j = oct7.jacobian(x, y, z)
-    assert element_equal(oct7.jacobian(y, x, z), -j)
-    assert element_equal(oct7.jacobian(x, z, y), -j)
-    assert element_equal(oct7.jacobian(z, x, y), j)
+    assert oct7.jacobian(y, x, z) == -j
+    assert oct7.jacobian(x, z, y) == -j
+    assert oct7.jacobian(z, x, y) == j
+
+
+def sparse_of(algebra):
+    """Sparse coefficient dicts with no stored zero."""
+    return st.dictionaries(
+        st.integers(0, algebra.dim - 1), small_rationals.filter(bool), max_size=algebra.dim
+    )
+
+
+def _dense(algebra, vec):
+    coords = [0] * algebra.dim
+    for k, c in vec.items():
+        coords[k] = c
+    return Element(coords)
+
+
+def _cancelling(algebra, u, v):
+    """(u2, k): two entries of u, one rescaled so that coordinate k of u2*v
+    cancels inside multiply_sparse; (u, None) when no two entries meet."""
+    for (i, a), (j, b) in combinations(sorted(u.items()), 2):
+        p = algebra.multiply_sparse({i: a}, v)
+        q = algebra.multiply_sparse({j: b}, v)
+        for k in sorted(p.keys() & q.keys()):
+            return {i: a, j: -b * Fraction(p[k]) / q[k]}, k
+    return u, None
+
+
+@pytest.mark.parametrize("name", ["octonion_malcev", "second_type_23"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_core_never_stores_zero(animals, name, data):
+    algebra = animals[name]
+    u, v, w = (data.draw(sparse_of(algebra)) for _ in range(3))
+    # u + w - w: every entry of w cancels again, and nothing else is left
+    assert accumulate(accumulate(dict(u), 1, w.items()), -1, w.items()) == u
+    forced, k = _cancelling(algebra, u, v)
+    for a in (u, forced):
+        prod = algebra.multiply_sparse(a, v)
+        assert all(prod.values())
+        assert _dense(algebra, prod) == algebra.multiply(_dense(algebra, a), _dense(algebra, v))
+    if k is not None:
+        assert k not in algebra.multiply_sparse(forced, v)
+    # J(u, v, u + w) = J(u, v, w): the (uv)u and (vu)u parts cancel in the sum
+    for z in (w, accumulate(dict(u), 1, w.items())):
+        jac = _jac_sparse(algebra, u, v, z)
+        assert all(jac.values())
+        dense = [_dense(algebra, x) for x in (u, v, z)]
+        assert _dense(algebra, jac) == algebra.jacobian(*dense)
 
 
 def test_text_format_round_trip(atilde):

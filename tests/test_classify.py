@@ -68,10 +68,6 @@ def test_is_nilpotent_values(atilde, base22):
     assert is_nilpotent(base22) == (True, 4)
     assert is_nilpotent(cross_product_algebra()) == (False, None)
     assert is_nilpotent(free_anticommutative(2, 5)) == (True, 5)
-    # k_cap caps the class that counts
-    assert is_nilpotent(atilde, k_cap=4) == (False, None)
-    assert is_nilpotent(atilde, k_cap=5) == (True, 5)
-    assert is_nilpotent(abelian_algebra(2), k_cap=1) == (True, 2)
 
 
 def test_semiprime_witness_on_example(atilde):

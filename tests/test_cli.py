@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from malcevlab import classify
@@ -58,26 +60,28 @@ def test_check_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "witness: (x1, x2, x3, x4)" in stdout
     assert "residual: -3*v" in stdout
+    code, stdout, _ = run_cli(capsys, "check", str(out), "first_type_4")
+    assert code == 1
+    assert "identity: first_type_4" in stdout
+    assert "residual: -2*v" in stdout
     code, _, stderr = run_cli(capsys, "check", str(out), "no_such_identity")
     assert code == 2 and "catalog" in stderr
     code, _, stderr = run_cli(capsys, "check", str(out), "bad : x | x*x = x")
     assert code == 2
+    # the identity is a required positional: argparse exits 2 with a usage line
+    with pytest.raises(SystemExit) as info:
+        main(["check", str(out)])
+    assert info.value.code == 2
+    assert "usage" in capsys.readouterr().err
     code, _, stderr = run_cli(capsys, "check", str(tmp_path / "missing.alg"), "malcev")
     assert code == 2
-
-
-def test_check_identity_flag_lookup(tmp_path, capsys):
-    out = tmp_path / "atilde.alg"
-    run_cli(capsys, "build", "paper-example", "-o", str(out))
-    code, stdout, _ = run_cli(capsys, "check", str(out), "--identity", "first_type_4")
-    assert code == 1
-    assert "identity: first_type_4" in stdout
-    assert "residual: -2*v" in stdout
-    # exactly one of positional / flag
-    code, _, stderr = run_cli(capsys, "check", str(out))
-    assert code == 2
-    code, _, stderr = run_cli(capsys, "check", str(out), "malcev", "--identity", "jacobi")
-    assert code == 2
+    # unreadable input is a usage error too, never a traceback with exit 1
+    code, _, stderr = run_cli(capsys, "check", str(tmp_path), "malcev")
+    assert code == 2 and "error:" in stderr
+    undecodable = tmp_path / "bytes.alg"
+    undecodable.write_bytes(b"dim 1\nlabel 0 \xff\xfe\n")
+    code, _, stderr = run_cli(capsys, "check", str(undecodable), "malcev")
+    assert code == 2 and "bytes.alg" in stderr
 
 
 def test_check_accepts_dsl(tmp_path, capsys):
@@ -125,8 +129,18 @@ def test_kernel_and_powers(tmp_path, capsys):
 def test_powers_trims_when_stable(tmp_path, capsys):
     out = tmp_path / "cross.alg"
     run_cli(capsys, "build", "zoo", "cross_product", "-o", str(out))
-    code, stdout, _ = run_cli(capsys, "powers", str(out))
+    calls = []
+    original = Algebra.multiply_sparse
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    with mock.patch.object(Algebra, "multiply_sparse", counted):
+        code, stdout, _ = run_cli(capsys, "powers", str(out))
     assert code == 0
+    # one chain, stopped at A^2 = A, serves the listing and the verdict
+    assert len(calls) == 9
     assert "power.1: 3" in stdout and "power.2: 3" in stdout
     assert "power.3" not in stdout  # stabilized
     assert "nilpotent: no" in stdout
