@@ -5,6 +5,14 @@ products; e_j e_i = -(e_i e_j) and e_i e_i = 0 are synthesized, never stored,
 so anticommutativity cannot be broken by bad data.  Elements are dense
 coefficient vectors.  All arithmetic is exact.
 
+Exact products run over Python ints.  An algebra whose structure constants
+have denominators has an integral model (Algebra.integral_model): the same
+basis with every constant multiplied by D, the lcm of their denominators.
+x -> Dx is an isomorphism onto it, so a value computed there from integral
+inputs is an int: the value here times a known power of D and the inputs'
+own scales.  Callers that need only zero patterns or spans use the model as
+it is; the few values that leave it are divided once (unscale).
+
 Algebras and bilinear forms are immutable after construction and all
 operations here are pure functions, so concurrent read-only use is safe.
 """
@@ -12,6 +20,7 @@ operations here are pure functions, so concurrent read-only use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rationals import Rational, format_rational, normalize, parse_rational
 
@@ -92,6 +101,13 @@ def accumulate(acc: dict, coeff, items) -> dict:
             else:
                 del acc[k]
     return acc
+
+
+def unscale(vec: dict, scale: int) -> dict:
+    """vec / scale: a sparse value computed at scale times its size."""
+    if scale == 1:
+        return vec
+    return {k: normalize(Fraction(c, scale)) for k, c in vec.items()}
 
 
 class Algebra:
@@ -192,11 +208,27 @@ class Algebra:
             + self.multiply(self.multiply(z, x), y)
         )
 
-    def is_integral(self) -> bool:
-        """True when every structure constant is an integer."""
-        return all(
-            isinstance(c, int) for vec in self._table.values() for c in vec.values()
-        )
+    def integral_model(self) -> tuple:
+        """(A_D, D): D is the lcm of the structure constants' denominators
+        and A_D the algebra whose constants are D times these.
+
+        x -> Dx maps this algebra isomorphically onto A_D, so a product
+        tree with p products, evaluated in A_D at integral inputs, is an int
+        and D^p times its value here.  Built once and cached on the algebra,
+        which is immutable; with D = 1 the model is the algebra itself.
+        """
+        # the cache holds None for the algebra itself: no reference cycle
+        cached = getattr(self, "_integral", None)
+        if cached is None:
+            d = lcm(*(c.denominator for vec in self._table.values() for c in vec.values()))
+            model = None
+            if d != 1:
+                scaled = {ij: {k: d * c for k, c in vec.items()} for ij, vec in self._table.items()}
+                model = Algebra(self.dim, self.labels, scaled, name=self.name)
+                model._integral = (None, 1)
+            cached = self._integral = (model, d)
+        model, d = cached
+        return (self if model is None else model), d
 
     # -- formatting ------------------------------------------------------
 

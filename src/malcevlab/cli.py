@@ -103,13 +103,20 @@ def _load(path) -> Algebra:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
+def _save(algebra: Algebra, path) -> None:
+    try:
+        algebra.save(path)
+    except OSError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _cmd_build(args) -> int:
     try:
         algebra = build_descriptor(args.descriptor)
     except (ValueError, BasisCapExceeded) as exc:
         raise _UsageError(str(exc)) from exc
     out = args.output or f"{'-'.join(args.descriptor)}.alg".replace(" ", "-")
-    algebra.save(out)
+    _save(algebra, out)
     _emit([("file", out), ("dim", algebra.dim), ("labels", " ".join(algebra.labels))])
     return 0
 
@@ -224,7 +231,7 @@ def _cmd_generate(args) -> int:
         ("basis", " ".join(restricted.labels)),
     ]
     if args.output:
-        restricted.save(args.output)
+        _save(restricted, args.output)
         pairs.append(("file", args.output))
     _emit(pairs)
     return 0

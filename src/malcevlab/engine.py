@@ -9,8 +9,18 @@ The evaluator compiles the identity's terms into a shared-subterm DAG and
 hoists each subterm to the outermost enumeration depth at which all its
 variables are bound, so e.g. in a 5-variable check the subterm x1*x2 is
 recomputed dim^2 times rather than dim^5 times.  Values are sparse
-coefficient dicts; with integral structure constants every intermediate
-stays a Python int.
+coefficient dicts of Python ints, whatever the structure constants.
+
+The scan runs in the algebra's integral model A_D (Algebra.integral_model),
+whose constants are D times the algebra's.  Every term of an identity has
+one multidegree (Identity enforces it; a variable of degree 0 occurs in no
+term), so every term's tree has the same number p of products, and at a
+basis tuple it is D^p times its value in A.  With the coefficients
+multiplied by L, the lcm of their denominators, every value in the scan is
+an int and the residual is L * D^p times the residual in A: it is zero at
+exactly the same tuples, and it is divided once, for the reported witness.
+So the verdict, the first counterexample and tuples_checked are those of
+the scan in A.
 
 Tuples that are provably zero are skipped.  Each basis element has a
 weight w(e_i) = max{k : e_i in A^k} from the power chain, and A^a A^b lies
@@ -34,8 +44,9 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import Algebra, Element, accumulate
+from .algebra import Algebra, Element, accumulate, unscale
 from .identities import Identity, IdentityError, linearize
 from .rationals import normalize
 from .subspaces import filtration
@@ -66,6 +77,15 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return self.status == "holds"
+
+
+def _integral_terms(ident: Identity, terms, d: int):
+    """(terms, scale): the identity's terms with integral coefficients, for
+    the scan in the integral model with denominator d, and the factor by
+    which every value there exceeds its value in the algebra."""
+    den = lcm(*(coeff.denominator for coeff, _ in terms))
+    products = sum(ident.multidegree.values()) - 1
+    return tuple((normalize(coeff * den), tree) for coeff, tree in terms), den * d ** products
 
 
 def _compile(terms, variables):
@@ -164,7 +184,12 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt):
                     return hit
         return None
 
-    return run(0, first_indices, 0)
+    try:
+        return run(0, first_indices, 0)
+    finally:
+        # run refers to itself; without this the cycle keeps the scan's
+        # values and the model alive until the cyclic collector runs
+        del run
 
 
 # the filtration without a class: every tuple is evaluated
@@ -239,6 +264,8 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
     total = dim ** n_vars
     if not terms or dim == 0:
         return CheckReport("holds", checked, total)
+    model, d = algebra.integral_model()
+    terms, scale = _integral_terms(checked, terms, d)
     program = _compile(terms, checked.variables)
     # a degree-0 variable adds no factor to any product, so the weight
     # bound holds only when every variable has degree 1
@@ -249,18 +276,18 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
         hit = None
         # ordered consumption: the first hit seen is the lexicographically
         # smallest, and breaking lets the context manager kill the rest
-        with _pool(algebra, program, n_vars, filt, jobs) as pool:
+        with _pool(model, program, n_vars, filt, jobs) as pool:
             for result in pool.imap(_scan_index, first):
                 if result is not None:
                     hit = result
                     break
     else:
-        hit = _scan(algebra, program, n_vars, first, None, filt)
+        hit = _scan(model, program, n_vars, first, None, filt)
 
     if hit is None:
         return CheckReport("holds", checked, total)
     indices, residual = hit
-    witness = Counterexample(indices, algebra._from_sparse(residual))
+    witness = Counterexample(indices, algebra._from_sparse(unscale(residual, scale)))
     return CheckReport("fails", checked, _rank(indices, dim) + 1, witness)
 
 
@@ -282,17 +309,21 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
     total = dim ** n_vars
     if not terms or dim == 0 or n_vars < 2:
         return CheckReport("holds", map_ident, total)
+    model, d = algebra.integral_model()
+    terms, scale = _integral_terms(map_ident, terms, d)
     program = _compile(terms, map_ident.variables)
     filt = filtration(algebra)
     first = _first_axis(filt, dim, n_vars)
 
+    # values at scale times their size in the algebra: a sum of two of
+    # them is zero exactly when the sum in the algebra is
     nonzero: dict = {}
     if _use_pool(filt, total, jobs):
-        with _pool(algebra, program, n_vars, filt, jobs) as pool:
+        with _pool(model, program, n_vars, filt, jobs) as pool:
             for part in pool.imap_unordered(_collect_index, first):
                 nonzero.update(part)
     else:
-        _scan(algebra, program, n_vars, first, nonzero, filt)
+        _scan(model, program, n_vars, first, nonzero, filt)
 
     best = None
     for t, value in nonzero.items():
@@ -309,7 +340,7 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
     if best is None:
         return CheckReport("holds", map_ident, total)
     (at, ax), residual = best
-    witness = Counterexample(at, algebra._from_sparse(residual), (ax, ax + 1))
+    witness = Counterexample(at, algebra._from_sparse(unscale(residual, scale)), (ax, ax + 1))
     return CheckReport("fails", map_ident, total, counterexample=witness)
 
 

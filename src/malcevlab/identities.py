@@ -163,11 +163,23 @@ def _tokenize(src: str):
     return tokens
 
 
+# Deepest nesting of '(' and 'J(' a parse accepts.  The parser recurses
+# per level, so past this bound it stops with IdentityParseError rather
+# than running into the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
+
+    def enter(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise IdentityParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -195,12 +207,14 @@ class _Parser:
         if kind == "name" and value == "J":
             self.next()
             self.expect_sym("(")
+            self.enter(pos)
             a = self.parse_term(variables)
             self.expect_sym(",")
             b = self.parse_term(variables)
             self.expect_sym(",")
             c = self.parse_term(variables)
             self.expect_sym(")")
+            self.depth -= 1
             # J(a,b,c) -> (ab)c + (bc)a + (ca)b
             return (
                 self._product(self._product(a, b), c)
@@ -214,8 +228,10 @@ class _Parser:
             return [(1, value)]
         if kind == "sym" and value == "(":
             self.next()
+            self.enter(pos)
             inner = self.parse_term(variables)
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         raise IdentityParseError(f"expected a variable, J(...), or '(', found {value!r}", pos)
 

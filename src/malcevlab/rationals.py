@@ -3,7 +3,10 @@
 Coefficients throughout the package are Python ints or ``fractions.Fraction``
 values.  Both are arbitrary precision and exact; ``normalize`` collapses
 integral fractions to plain ints because int arithmetic is roughly an order
-of magnitude faster in the exhaustive evaluation loops.
+of magnitude faster.  The hot loops never see a Fraction: they multiply in
+an algebra's integral model (``Algebra.integral_model``), with integral
+coefficients and rows, and divide once where a value leaves them.  Echelon
+elimination in ``subspaces`` still runs over Fractions.
 """
 
 from __future__ import annotations

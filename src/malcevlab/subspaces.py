@@ -5,14 +5,23 @@ subalgebras.
 Subspaces are stored as reduced row echelon matrices over the rationals
 with no zero rows; that form is unique, so two subspaces are equal iff
 their matrices are identical.
+
+Products run over Python ints in the algebra's integral model A_D
+(Algebra.integral_model).  A span does not change when a generator is
+multiplied by a nonzero scalar, so each echelon row enters a product as
+its integral form (the row times the lcm of its denominators, which an
+echelon row holds at its pivot) and the product is taken in A_D: the
+products span what the products in the algebra span.  Only coordinates
+that leave the calculus, the structure constants of a quotient or of a
+generated subalgebra, are divided once by their known scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from math import lcm
 
-from .algebra import Algebra, DimensionMismatch, Element, accumulate
+from .algebra import Algebra, DimensionMismatch, Element, accumulate, unscale
 from .rationals import normalize
 
 
@@ -159,6 +168,22 @@ def _sparse(row) -> dict:
     return {i: c for i, c in enumerate(row) if c}
 
 
+def _integral(row) -> dict:
+    """The row times the lcm of its denominators, as a sparse dict of ints.
+
+    An integral row costs one exact type test per entry (isinstance
+    against Fraction, an ABC, would be slower on this path).
+    """
+    vec = _sparse(row)
+    m = 1
+    for c in vec.values():
+        if type(c) is not int:
+            m = lcm(m, c.denominator)
+    if m == 1:
+        return vec
+    return {i: (c * m).numerator for i, c in vec.items()}
+
+
 def _jac_sparse(algebra: Algebra, u: dict, v: dict, w: dict) -> dict:
     mul = algebra.multiply_sparse
     out = mul(mul(u, v), w)
@@ -189,34 +214,47 @@ def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subsp
     by bilinearity."""
     if left.ambient_dim != algebra.dim or right.ambient_dim != algebra.dim:
         raise DimensionMismatch()
+    model = algebra.integral_model()[0]
     ech = _Echelon(algebra.dim)
-    lrows = [_sparse(r) for r in left.rows]
-    rrows = [_sparse(r) for r in right.rows]
+    lrows = [_integral(r) for r in left.rows]
+    rrows = [_integral(r) for r in right.rows]
     for u in lrows:
         for v in rrows:
-            prod = algebra.multiply_sparse(u, v)
+            prod = model.multiply_sparse(u, v)
             if prod:
                 ech.insert(_dense(prod, algebra.dim))
     return ech.subspace()
 
 
-def _powers(algebra: Algebra):
-    """Yield A^1, A^2, ... without end; each power is built from the ones
-    already yielded, so a consumer pays only for the powers it takes."""
-    chain = [full_space(algebra)]
-    yield chain[0]
-    while True:
-        k = len(chain) + 1
+def _powers(algebra: Algebra, k: int) -> tuple:
+    """The algebra's power chain (A^1, A^2, ...), built to at least k powers.
+
+    There is one chain per algebra, cached on it (the algebra is
+    immutable) and extended only as far as a caller asks, each power from
+    the ones before it, so no power is built twice.  The cache is replaced
+    by a longer tuple, never mutated, so a concurrent reader sees a valid
+    prefix.  The chain may be longer than k; callers slice it.
+    """
+    cached = getattr(algebra, "_power_chain", None)
+    if cached is None:
+        full = full_space(algebra)
+        cached = algebra._power_chain = ((full,), ([_integral(r) for r in full.rows],))
+    chain, rows = cached  # rows[i]: the integral rows of chain[i]
+    mul = algebra.integral_model()[0].multiply_sparse
+    while len(chain) < k:
+        n = len(chain) + 1
         ech = _Echelon(algebra.dim)
-        for i in range(1, k // 2 + 1):
-            left, right = chain[i - 1], chain[k - i - 1]
-            for u in (_sparse(r) for r in left.rows):
-                for v in (_sparse(r) for r in right.rows):
-                    prod = algebra.multiply_sparse(u, v)
+        for i in range(1, n // 2 + 1):
+            for u in rows[i - 1]:
+                for v in rows[n - i - 1]:
+                    prod = mul(u, v)
                     if prod:
                         ech.insert(_dense(prod, algebra.dim))
-        chain.append(ech.subspace())
-        yield chain[-1]
+        power = ech.subspace()
+        chain += (power,)
+        rows += ([_integral(r) for r in power.rows],)
+        algebra._power_chain = (chain, rows)
+    return chain
 
 
 def power_chain(algebra: Algebra, k_max: int) -> list:
@@ -224,7 +262,7 @@ def power_chain(algebra: Algebra, k_max: int) -> list:
     (all association patterns); the chain is descending."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return list(islice(_powers(algebra), k_max))
+    return list(_powers(algebra, k_max)[:k_max])
 
 
 def stable_powers(algebra: Algebra) -> tuple:
@@ -232,17 +270,14 @@ def stable_powers(algebra: Algebra) -> tuple:
     equals the one before it.
 
     The chain strictly descends before that point, so m <= dim + 1.  It is
-    built once and cached on the algebra, which is immutable.
+    read from the one cached chain that power_chain reads too.
     """
-    cached = getattr(algebra, "_stable_powers", None)
-    if cached is None:
-        chain = []
-        for space in _powers(algebra):
-            chain.append(space)
-            if space.is_zero() or (len(chain) > 1 and space == chain[-2]):
-                break
-        cached = algebra._stable_powers = tuple(chain)
-    return cached
+    m = 1
+    while True:
+        chain = _powers(algebra, m)
+        if chain[m - 1].is_zero() or (m > 1 and chain[m - 1] == chain[m - 2]):
+            return chain[:m]
+        m += 1
 
 
 def filtration(algebra: Algebra):
@@ -270,6 +305,8 @@ def lie_kernel(algebra: Algebra) -> Subspace:
     """N(A) = {x : J(x, A, A) = 0}, solved as an exact linear system over
     all basis pairs."""
     dim = algebra.dim
+    # each J in the model is D^2 times the J here: the same constraints
+    model = algebra.integral_model()[0]
     constraints = _Echelon(dim)
     basis = [{i: 1} for i in range(dim)]
     for j in range(dim):
@@ -278,7 +315,7 @@ def lie_kernel(algebra: Algebra) -> Subspace:
             for i in range(dim):
                 if i == j or i == k:
                     continue  # J with a repeated argument vanishes
-                jac = _jac_sparse(algebra, basis[i], basis[j], basis[k])
+                jac = _jac_sparse(model, basis[i], basis[j], basis[k])
                 for c, val in jac.items():
                     row = columns.get(c)
                     if row is None:
@@ -311,14 +348,15 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
     for s in (u_space, v_space, w_space):
         if s.ambient_dim != algebra.dim:
             raise DimensionMismatch()
+    model = algebra.integral_model()[0]
     ech = _Echelon(algebra.dim)
-    us = [_sparse(r) for r in u_space.rows]
-    vs = [_sparse(r) for r in v_space.rows]
-    ws = [_sparse(r) for r in w_space.rows]
+    us = [_integral(r) for r in u_space.rows]
+    vs = [_integral(r) for r in v_space.rows]
+    ws = [_integral(r) for r in w_space.rows]
     for u in us:
         for v in vs:
             for w in ws:
-                jac = _jac_sparse(algebra, u, v, w)
+                jac = _jac_sparse(model, u, v, w)
                 if jac:
                     ech.insert(_dense(jac, algebra.dim))
     return ech.subspace()
@@ -345,13 +383,14 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
     """
     if ideal.ambient_dim != algebra.dim:
         raise DimensionMismatch()
+    model, d = algebra.integral_model()
     ech = ideal._echelon()
-    for t, row in enumerate(ideal.rows):
-        u = _sparse(row)
+    for t, (row, p) in enumerate(zip(ideal.rows, ideal.pivots)):
+        u = _integral(row)
         for j in range(algebra.dim):
-            prod = algebra.multiply_sparse(u, {j: 1})
+            prod = model.multiply_sparse(u, {j: 1})
             if prod and any(ech.reduce(_dense(prod, algebra.dim))):
-                raise NotAnIdealError(t, j, algebra._from_sparse(prod))
+                raise NotAnIdealError(t, j, algebra._from_sparse(unscale(prod, u[p] * d)))
 
     pivot_set = set(ideal.pivots)
     complement = [c for c in range(algebra.dim) if c not in pivot_set]
@@ -364,13 +403,13 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
     products: dict = {}
     for a in range(len(complement)):
         for b in range(a + 1, len(complement)):
-            prod = algebra.multiply_sparse({complement[a]: 1}, {complement[b]: 1})
+            prod = model.multiply_sparse({complement[a]: 1}, {complement[b]: 1})
             if not prod:
                 continue
             residual = ech.reduce(_dense(prod, algebra.dim))
             vec = {position[c]: residual[c] for c in complement if residual[c]}
             if vec:
-                products[(a, b)] = vec
+                products[(a, b)] = unscale(vec, d)
     labels = [algebra.labels[c] for c in complement]
     name = f"{algebra.name}/I" if algebra.name else ""
     return Algebra(len(complement), labels, products, name=name), project
@@ -382,26 +421,30 @@ def subalgebra_generate(algebra: Algebra, gens):
     Returns (subspace, restricted) where restricted is the generated
     subalgebra as a standalone Algebra over the subspace's echelon rows.
     """
+    model, d = algebra.integral_model()
     ech = _Echelon(algebra.dim)
     for g in gens:
         ech.insert(_as_coords(g, algebra.dim))
     while True:
-        rows = [_sparse(r) for r in ech.rows]
+        rows = [_integral(r) for r in ech.rows]
         grew = False
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
-                prod = algebra.multiply_sparse(rows[a], rows[b])
+                prod = model.multiply_sparse(rows[a], rows[b])
                 if prod and ech.insert(_dense(prod, algebra.dim)):
                     grew = True
         if not grew:
             break
     sub = ech.subspace()
 
+    # the last pass added nothing, so rows are the integral forms of
+    # sub.rows; row a is scales[a] times sub.rows[a]
     m = sub.dim
+    scales = [u[p] for u, p in zip(rows, sub.pivots)]
     products: dict = {}
     for a in range(m):
         for b in range(a + 1, m):
-            prod = algebra.multiply_sparse(_sparse(sub.rows[a]), _sparse(sub.rows[b]))
+            prod = model.multiply_sparse(rows[a], rows[b])
             dense = _dense(prod, algebra.dim)
             coords = {t: dense[p] for t, p in enumerate(sub.pivots) if dense[p]}
             # closure guarantees the product lies in the subspace
@@ -414,7 +457,7 @@ def subalgebra_generate(algebra: Algebra, gens):
             if any(check):
                 raise RuntimeError("generated subspace not closed under products")
             if coords:
-                products[(a, b)] = coords
+                products[(a, b)] = unscale(coords, scales[a] * scales[b] * d)
     labels = [algebra.format_element(Element(r), compact=True) for r in sub.rows]
     name = f"{algebra.name}<gen>" if algebra.name else ""
     return sub, Algebra(m, labels, products, name=name)

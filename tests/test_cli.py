@@ -37,6 +37,16 @@ def test_build_unknown_descriptor(tmp_path, capsys):
     assert "descriptor" in stderr
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # a directory as -o: exit 2 with a message, never a traceback with exit 1
+    code, _, stderr = run_cli(capsys, "build", "free", "2", "3", "-o", str(tmp_path))
+    assert code == 2 and "error:" in stderr
+    src = tmp_path / "heis.alg"
+    run_cli(capsys, "build", "zoo", "heisenberg", "-o", str(src))
+    code, _, stderr = run_cli(capsys, "generate", str(src), "0", "1", "-o", str(tmp_path))
+    assert code == 2 and "error:" in stderr
+
+
 def test_round_trip_classification_matches_in_memory(tmp_path, capsys):
     from malcevlab import second_type_example
 
@@ -82,6 +92,18 @@ def test_check_exit_codes(tmp_path, capsys):
     undecodable.write_bytes(b"dim 1\nlabel 0 \xff\xfe\n")
     code, _, stderr = run_cli(capsys, "check", str(undecodable), "malcev")
     assert code == 2 and "bytes.alg" in stderr
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "heis.alg"
+    run_cli(capsys, "build", "zoo", "heisenberg", "-o", str(out))
+    for levels in (2000, 10_000):
+        deep = "d : x,y | " + "(" * levels + "x*y" + ")" * levels + " = 0"
+        code, _, stderr = run_cli(capsys, "check", str(out), deep)
+        assert code == 2 and "nesting" in stderr
+    shallow = "d : x,y | " + "(" * 50 + "x*y" + ")" * 50 + " = 0"
+    code, stdout, _ = run_cli(capsys, "check", str(out), shallow)
+    assert code == 1 and "status: fails" in stdout
 
 
 def test_check_accepts_dsl(tmp_path, capsys):

@@ -14,6 +14,7 @@ from malcevlab import (
 )
 from malcevlab.construct import cross_product_algebra, octonion_malcev
 from malcevlab.engine import evaluate_identity, random_element
+from malcevlab.identities import MAX_NESTING
 
 
 def side_as_dict(side):
@@ -86,6 +87,23 @@ def test_syntax_errors_carry_position():
         parse_identity("bad : x,y | 2 = 0")
     with pytest.raises(IdentityParseError):
         parse_identity("bad : x,x | x*x = 0")
+
+
+def test_nesting_depth_is_bounded():
+    plain = parse_identity("d : x,y | x*y = 0")
+    for levels in (50, MAX_NESTING):
+        deep = parse_identity("d : x,y | " + "(" * levels + "x*y" + ")" * levels + " = 0")
+        assert deep.lhs == plain.lhs
+    text = "d : x,y | " + "(" * (MAX_NESTING + 1) + "x*y" + ")" * (MAX_NESTING + 1) + " = 0"
+    with pytest.raises(IdentityParseError) as info:
+        parse_identity(text)
+    assert info.value.pos == text.index("(") + MAX_NESTING
+    # J( counts as a level too
+    inner = "x*y"
+    for _ in range(MAX_NESTING):
+        inner = f"({inner})"
+    with pytest.raises(IdentityParseError):
+        parse_identity(f"d : x,y,z | J({inner},z,z) = 0")
 
 
 def test_zero_sides():

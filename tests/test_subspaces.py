@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 
 from malcevlab import (
+    Algebra,
     NotAnIdealError,
     Subspace,
     catalog_identity,
@@ -17,6 +19,7 @@ from malcevlab import (
     product_subspace,
     quotient_algebra,
     span,
+    second_type_example,
     subalgebra_generate,
 )
 from malcevlab.construct import (
@@ -24,6 +27,7 @@ from malcevlab.construct import (
     cross_product_algebra,
     heisenberg_algebra,
 )
+from malcevlab.subspaces import filtration, stable_powers
 
 
 def random_matrix(rng, rows, cols):
@@ -91,6 +95,32 @@ def test_power_chain_values(atilde, base22):
     assert [s.dim for s in power_chain(atilde, 5)] == [23, 19, 13, 1, 0]
     assert [s.dim for s in power_chain(base22, 4)] == [22, 18, 12, 0]
     assert [s.dim for s in power_chain(abelian_algebra(4), 3)] == [4, 0, 0]
+
+
+def _count_products(fn, *args):
+    calls = []
+    original = Algebra.multiply_sparse
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    with mock.patch.object(Algebra, "multiply_sparse", counted):
+        fn(*args)
+    return len(calls)
+
+
+def test_one_power_chain_per_algebra():
+    # the stopped chain (the filtration's, A^1..A^5 = 0) and power_chain
+    # read one cached chain: its 1,896 products are made once, either way
+    at = second_type_example()
+    assert _count_products(filtration, at) == 1896
+    assert _count_products(power_chain, at, 5) == 0
+    at = second_type_example()
+    assert _count_products(power_chain, at, 3) + _count_products(power_chain, at, 5) == 1896
+    assert _count_products(stable_powers, at) == 0
+    assert power_chain(at, 6)[:5] == list(stable_powers(at))
+    assert power_chain(at, 6)[5].is_zero()
 
 
 def test_power_chain_is_descending(animals):
