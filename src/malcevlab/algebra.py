@@ -34,6 +34,12 @@ class AlgebraFormatError(ValueError):
     """Raised on malformed algebra text files."""
 
 
+# Largest dim an algebra text file may declare: a dim line allocates labels
+# and dense vectors of that size.  It matches the word cap of the
+# constructions (construct.DEFAULT_WORD_CAP), so every file they write loads.
+MAX_DIM = 10_000
+
+
 class Element:
     """Dense coefficient vector over an algebra's basis."""
 
@@ -286,6 +292,8 @@ class Algebra:
                     if dim is not None:
                         raise AlgebraFormatError(f"line {lineno}: duplicate dim")
                     dim = int(fields[1])
+                    if dim > MAX_DIM:
+                        raise AlgebraFormatError(f"line {lineno}: dim {dim} exceeds {MAX_DIM}")
                 elif fields[0] == "label":
                     if len(fields) != 3:
                         raise AlgebraFormatError(f"line {lineno}: label needs index and name")

@@ -168,6 +168,11 @@ def _tokenize(src: str):
 # than running into the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Most terms a product, a J(...) expansion or a side may expand to.  J
+# triples the term count of its arguments' product, so nesting alone grows
+# a parse as 3^depth; the count is checked before a list is built.
+MAX_TERMS = 10_000
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -175,6 +180,11 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
+
+    @staticmethod
+    def _bound(count: int, pos: int):
+        if count > MAX_TERMS:
+            raise IdentityParseError(f"expands to {count} terms, more than {MAX_TERMS}", pos)
 
     def enter(self, pos: int):
         self.depth += 1
@@ -216,10 +226,11 @@ class _Parser:
             self.expect_sym(")")
             self.depth -= 1
             # J(a,b,c) -> (ab)c + (bc)a + (ca)b
+            self._bound(3 * len(a) * len(b) * len(c), pos)
             return (
-                self._product(self._product(a, b), c)
-                + self._product(self._product(b, c), a)
-                + self._product(self._product(c, a), b)
+                self._product(self._product(a, b, pos), c, pos)
+                + self._product(self._product(b, c, pos), a, pos)
+                + self._product(self._product(c, a, pos), b, pos)
             )
         if kind == "name":
             self.next()
@@ -235,17 +246,17 @@ class _Parser:
             return inner
         raise IdentityParseError(f"expected a variable, J(...), or '(', found {value!r}", pos)
 
-    @staticmethod
-    def _product(a, b):
+    def _product(self, a, b, pos):
+        self._bound(len(a) * len(b), pos)
         return [(ca * cb, (ta, tb)) for ca, ta in a for cb, tb in b]
 
     def parse_term(self, variables):
         first = self.parse_factor(variables)
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "sym" and value == "*":
             self.next()
             second = self.parse_factor(variables)
-            return self._product(first, second)
+            return self._product(first, second, pos)
         return first
 
     def parse_coeff(self) -> Rational:
@@ -284,11 +295,13 @@ class _Parser:
             sign = -1 if value == "-" else 1
         terms.extend((sign * c, t) for c, t in self.parse_addend(variables))
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "sym" and value in "+-":
                 self.next()
                 sign = -1 if value == "-" else 1
-                terms.extend((sign * c, t) for c, t in self.parse_addend(variables))
+                addend = self.parse_addend(variables)
+                self._bound(len(terms) + len(addend), pos)
+                terms.extend((sign * c, t) for c, t in addend)
             else:
                 return terms
 

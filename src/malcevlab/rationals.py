@@ -6,7 +6,9 @@ integral fractions to plain ints because int arithmetic is roughly an order
 of magnitude faster.  The hot loops never see a Fraction: they multiply in
 an algebra's integral model (``Algebra.integral_model``), with integral
 coefficients and rows, and divide once where a value leaves them.  Echelon
-elimination in ``subspaces`` still runs over Fractions.
+elimination in ``subspaces`` runs over primitive int rows by
+cross-multiplication; a Subspace's canonical rows are formed by one
+division per row.
 """
 
 from __future__ import annotations

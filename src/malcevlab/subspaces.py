@@ -6,20 +6,28 @@ Subspaces are stored as reduced row echelon matrices over the rationals
 with no zero rows; that form is unique, so two subspaces are equal iff
 their matrices are identical.
 
-Products run over Python ints in the algebra's integral model A_D
-(Algebra.integral_model).  A span does not change when a generator is
-multiplied by a nonzero scalar, so each echelon row enters a product as
-its integral form (the row times the lcm of its denominators, which an
-echelon row holds at its pivot) and the product is taken in A_D: the
-products span what the products in the algebra span.  Only coordinates
-that leave the calculus, the structure constants of a quotient or of a
-generated subalgebra, are divided once by their known scale.
+Nothing in the calculus forms a Fraction until a value leaves it.  A span
+does not change when a vector is multiplied by a nonzero scalar, so:
+
+- the echelon accumulator (_Echelon) keeps each row as a primitive int
+  vector, the canonical row times a positive scalar, and eliminates by
+  cross-multiplication; Subspace gets its rows by one division per row;
+- products run in the algebra's integral model A_D
+  (Algebra.integral_model): each echelon row enters a product as its
+  integral form (the row times the lcm of its denominators, which an
+  echelon row holds at its pivot) and the products in A_D span what the
+  products in the algebra span.
+
+Only coordinates that leave the calculus, a residual of Subspace.reduce
+and the structure constants of a quotient or of a generated subalgebra,
+are divided once by their known scale.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import Algebra, DimensionMismatch, Element, accumulate, unscale
 from .rationals import normalize
@@ -38,51 +46,112 @@ class NotAnIdealError(ValueError):
 
 
 class _Echelon:
-    """Mutable reduced-row-echelon accumulator."""
+    """Mutable integer reduced-row-echelon accumulator.
+
+    Each row is a primitive int vector: content gcd 1, a positive pivot,
+    and zero in every other row's pivot column.  Divided by its pivot it is
+    the canonical RREF row, and the canonical row times the lcm of its
+    denominators is primitive too, so a row is that integral form: the
+    rows of one span are unique.  Scaling a vector keeps its span, so a
+    vector enters as its integral form and is eliminated by
+    cross-multiplication, vec <- a*vec - c*row with a = row[p] and c =
+    vec[p] divided by gcd(a, c); no Fraction is formed until subspace()
+    divides each row by its pivot, once.
+    """
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[list] = []       # sorted by pivot column
         self.pivots: list[int] = []
 
-    def reduce(self, vec) -> list:
-        """Eliminate the pivot coordinates of vec; returns the residual."""
-        vec = list(vec)
+    def _reduce(self, vec) -> tuple:
+        """(r, s): r is an int list, s times the exact residual of vec.
+
+        Enough for zero patterns and spans; reduce divides by s.
+        """
+        vec, s = _integral_list(vec)
         for row, p in zip(self.rows, self.pivots):
             c = vec[p]
             if c:
-                for k in range(p, self.width):
-                    if row[k]:
-                        vec[k] -= c * row[k]
-        return vec
+                a = row[p]
+                if a != 1:
+                    g = gcd(a, c)
+                    a //= g
+                    c //= g
+                if a == 1:  # row is zero before p
+                    for k in range(p, self.width):
+                        if row[k]:
+                            vec[k] -= c * row[k]
+                else:
+                    s *= a
+                    vec = [a * x - c * y for x, y in zip(vec, row)]
+        return vec, s
+
+    def reduce(self, vec) -> list:
+        """Eliminate the pivot coordinates of vec; returns the exact residual."""
+        vec, s = self._reduce(vec)
+        if s == 1:
+            return vec
+        return [normalize(Fraction(c, s)) if c else 0 for c in vec]
 
     def insert(self, vec) -> bool:
         """Add a vector to the span; True if the rank grew."""
-        vec = self.reduce(vec)
-        pivot = next((k for k, c in enumerate(vec) if c), None)
-        if pivot is None:
+        vec = _primitive(self._reduce(vec)[0])
+        if vec is None:
             return False
+        pivot = next(k for k, c in enumerate(vec) if c)
         lead = vec[pivot]
-        row = [normalize(Fraction(c, 1) / lead) if c else 0 for c in vec]
-        row[pivot] = 1
         # clear the new pivot column from existing rows
-        for other in self.rows:
+        for t, other in enumerate(self.rows):
             c = other[pivot]
             if c:
-                for k in range(pivot, self.width):
-                    if row[k]:
-                        other[k] = normalize(other[k] - c * row[k])
-        at = next((t for t, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, row)
+                g = gcd(lead, c)
+                a, c = lead // g, c // g
+                self.rows[t] = _primitive([a * x - c * y for x, y in zip(other, vec)])
+        at = bisect(self.pivots, pivot)
+        self.rows.insert(at, vec)
         self.pivots.insert(at, pivot)
         return True
 
     def subspace(self) -> "Subspace":
         return Subspace._make(
             self.width,
-            tuple(tuple(normalize(c) for c in row) for row in self.rows),
+            tuple(
+                tuple(row) if row[p] == 1
+                else tuple(normalize(Fraction(c, row[p])) if c else 0 for c in row)
+                for row, p in zip(self.rows, self.pivots)
+            ),
             tuple(self.pivots),
         )
+
+
+_INT = frozenset((int,))
+
+
+def _integral_list(vec) -> tuple:
+    """(m*vec as a new list of ints, m), m the lcm of vec's denominators.
+
+    A Fraction with denominator 1 is not an int, so every non-int entry is
+    converted; an all-int vector costs one C-level type scan (isinstance
+    against Fraction, an ABC, would be slower on this path).
+    """
+    if _INT.issuperset(map(type, vec)):
+        return list(vec), 1
+    m = 1
+    for c in vec:
+        if type(c) is not int:
+            m = lcm(m, c.denominator)
+    return [c * m if type(c) is int else (c * m).numerator for c in vec], m
+
+
+def _primitive(vec: list):
+    """vec divided by its content, with a positive leading entry; None for 0."""
+    g = gcd(*vec)
+    if not g:
+        return None
+    if next(c for c in vec if c) < 0:
+        g = -g
+    return vec if g == 1 else [c // g for c in vec]
 
 
 class Subspace:
@@ -115,8 +184,9 @@ class Subspace:
         return not self.rows
 
     def _echelon(self) -> _Echelon:
+        # a canonical row times its denominators' lcm is its echelon row
         ech = _Echelon(self.ambient_dim)
-        ech.rows = [list(r) for r in self.rows]
+        ech.rows = [_integral_list(r)[0] for r in self.rows]
         ech.pivots = list(self.pivots)
         return ech
 
@@ -124,20 +194,20 @@ class Subspace:
         return self._echelon().reduce(_as_coords(vec, self.ambient_dim))
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._echelon()._reduce(_as_coords(vec, self.ambient_dim))[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch()
         ech = self._echelon()
-        return all(not any(ech.reduce(list(r))) for r in other.rows)
+        return all(not any(ech._reduce(r)[0]) for r in other.rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch()
         ech = self._echelon()
         for r in other.rows:
-            ech.insert(list(r))
+            ech.insert(r)
         return ech.subspace()
 
     def row_elements(self):
@@ -169,19 +239,8 @@ def _sparse(row) -> dict:
 
 
 def _integral(row) -> dict:
-    """The row times the lcm of its denominators, as a sparse dict of ints.
-
-    An integral row costs one exact type test per entry (isinstance
-    against Fraction, an ABC, would be slower on this path).
-    """
-    vec = _sparse(row)
-    m = 1
-    for c in vec.values():
-        if type(c) is not int:
-            m = lcm(m, c.denominator)
-    if m == 1:
-        return vec
-    return {i: (c * m).numerator for i, c in vec.items()}
+    """The row times the lcm of its denominators, as a sparse dict of ints."""
+    return _sparse(_integral_list(row)[0])
 
 
 def _jac_sparse(algebra: Algebra, u: dict, v: dict, w: dict) -> dict:
@@ -250,9 +309,8 @@ def _powers(algebra: Algebra, k: int) -> tuple:
                     prod = mul(u, v)
                     if prod:
                         ech.insert(_dense(prod, algebra.dim))
-        power = ech.subspace()
-        chain += (power,)
-        rows += ([_integral(r) for r in power.rows],)
+        chain += (ech.subspace(),)
+        rows += ([_sparse(r) for r in ech.rows],)
         algebra._power_chain = (chain, rows)
     return chain
 
@@ -303,24 +361,42 @@ def filtration(algebra: Algebra):
 
 def lie_kernel(algebra: Algebra) -> Subspace:
     """N(A) = {x : J(x, A, A) = 0}, solved as an exact linear system over
-    all basis pairs."""
+    all basis pairs.
+
+    J is alternating in an anticommutative algebra, so each J(e_i, e_j,
+    e_k) is computed once per unordered triple, when first needed, and
+    read with the sign of the permutation that sorts (i, j, k).
+    """
     dim = algebra.dim
     # each J in the model is D^2 times the J here: the same constraints
     model = algebra.integral_model()[0]
     constraints = _Echelon(dim)
     basis = [{i: 1} for i in range(dim)]
+    memo: dict = {}
+
+    def jac(a, b, c):  # a < b < c
+        out = memo.get((a, b, c))
+        if out is None:
+            out = memo[(a, b, c)] = _jac_sparse(model, basis[a], basis[b], basis[c])
+        return out
+
     for j in range(dim):
         for k in range(j + 1, dim):
             columns: dict = {}
             for i in range(dim):
-                if i == j or i == k:
+                if i < j:
+                    sign, vec = 1, jac(i, j, k)
+                elif i == j or i == k:
                     continue  # J with a repeated argument vanishes
-                jac = _jac_sparse(model, basis[i], basis[j], basis[k])
-                for c, val in jac.items():
+                elif i < k:
+                    sign, vec = -1, jac(j, i, k)
+                else:
+                    sign, vec = 1, jac(j, k, i)
+                for c, val in vec.items():
                     row = columns.get(c)
                     if row is None:
                         row = columns[c] = [0] * dim
-                    row[i] = val
+                    row[i] = sign * val
             for row in columns.values():
                 constraints.insert(row)
             if len(constraints.rows) == dim:
@@ -329,6 +405,7 @@ def lie_kernel(algebra: Algebra) -> Subspace:
 
 
 def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
+    """One solution per free column f: x_f = 1, x_p = -row[f] / row[p]."""
     pivot_set = set(constraints.pivots)
     free_cols = [c for c in range(dim) if c not in pivot_set]
     ech = _Echelon(dim)
@@ -337,7 +414,7 @@ def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
         vec[f] = 1
         for row, p in zip(constraints.rows, constraints.pivots):
             if row[f]:
-                vec[p] = -row[f]
+                vec[p] = Fraction(-row[f], row[p])
         ech.insert(vec)
     return ech.subspace()
 
@@ -353,10 +430,15 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
     us = [_integral(r) for r in u_space.rows]
     vs = [_integral(r) for r in v_space.rows]
     ws = [_integral(r) for r in w_space.rows]
-    for u in us:
-        for v in vs:
-            for w in ws:
-                jac = _jac_sparse(model, u, v, w)
+    # J is alternating: where two spaces are equal, only strictly
+    # increasing row pairs across them are needed (a repeated row gives 0,
+    # a swapped pair the negative)
+    same_uv, same_vw, same_uw = u_space == v_space, v_space == w_space, u_space == w_space
+    for a, u in enumerate(us):
+        for b in range(a + 1 if same_uv else 0, len(vs)):
+            first = max(b + 1 if same_vw else 0, a + 1 if same_uw else 0)
+            for w in ws[first:]:
+                jac = _jac_sparse(model, u, vs[b], w)
                 if jac:
                     ech.insert(_dense(jac, algebra.dim))
     return ech.subspace()
@@ -389,7 +471,7 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
         u = _integral(row)
         for j in range(algebra.dim):
             prod = model.multiply_sparse(u, {j: 1})
-            if prod and any(ech.reduce(_dense(prod, algebra.dim))):
+            if prod and any(ech._reduce(_dense(prod, algebra.dim))[0]):
                 raise NotAnIdealError(t, j, algebra._from_sparse(unscale(prod, u[p] * d)))
 
     pivot_set = set(ideal.pivots)
@@ -426,38 +508,30 @@ def subalgebra_generate(algebra: Algebra, gens):
     for g in gens:
         ech.insert(_as_coords(g, algebra.dim))
     while True:
-        rows = [_integral(r) for r in ech.rows]
+        rows = [_sparse(r) for r in ech.rows]
+        products: dict = {}
         grew = False
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
-                prod = model.multiply_sparse(rows[a], rows[b])
+                prod = products[(a, b)] = model.multiply_sparse(rows[a], rows[b])
                 if prod and ech.insert(_dense(prod, algebra.dim)):
                     grew = True
         if not grew:
             break
     sub = ech.subspace()
 
-    # the last pass added nothing, so rows are the integral forms of
-    # sub.rows; row a is scales[a] times sub.rows[a]
-    m = sub.dim
-    scales = [u[p] for u, p in zip(rows, sub.pivots)]
-    products: dict = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            prod = model.multiply_sparse(rows[a], rows[b])
-            dense = _dense(prod, algebra.dim)
-            coords = {t: dense[p] for t, p in enumerate(sub.pivots) if dense[p]}
-            # closure guarantees the product lies in the subspace
-            check = list(dense)
-            for t, c in coords.items():
-                if c:
-                    for k, rv in enumerate(sub.rows[t]):
-                        if rv:
-                            check[k] -= c * rv
-            if any(check):
-                raise RuntimeError("generated subspace not closed under products")
-            if coords:
-                products[(a, b)] = unscale(coords, scales[a] * scales[b] * d)
+    # the last pass added nothing: its rows are ech.rows, row a is
+    # scales[a] times sub.rows[a], and its products make the table
+    scales = [r[p] for r, p in zip(ech.rows, sub.pivots)]
+    table: dict = {}
+    for (a, b), prod in products.items():
+        dense = _dense(prod, algebra.dim)
+        # closure guarantees the product lies in the subspace
+        if any(ech._reduce(dense)[0]):
+            raise RuntimeError("generated subspace not closed under products")
+        coords = {t: dense[p] for t, p in enumerate(sub.pivots) if dense[p]}
+        if coords:
+            table[(a, b)] = unscale(coords, scales[a] * scales[b] * d)
     labels = [algebra.format_element(Element(r), compact=True) for r in sub.rows]
     name = f"{algebra.name}<gen>" if algebra.name else ""
-    return sub, Algebra(m, labels, products, name=name)
+    return sub, Algebra(sub.dim, labels, table, name=name)

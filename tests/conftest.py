@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from malcevlab import (
@@ -26,3 +32,24 @@ def animals():
 @pytest.fixture(scope="session")
 def free44():
     return free_anticommutative(4, 4)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.fixture
+def capped_python():
+    """Run `python ARGS...` in a child whose address space is capped at
+    1 GiB: a test of a size bound then fails by a MemoryError, never by
+    allocating the size it tests."""
+    def run(*args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=120, preexec_fn=_cap_address_space)
+    return run

@@ -13,7 +13,7 @@ from malcevlab import (
     DimensionMismatch,
     Element,
 )
-from malcevlab.algebra import accumulate
+from malcevlab.algebra import MAX_DIM, accumulate
 from malcevlab.classify import anticommutative_sweep
 from malcevlab.construct import cross_product_algebra, octonion_malcev
 from malcevlab.subspaces import _jac_sparse
@@ -164,6 +164,20 @@ def test_text_format_errors():
         Algebra.from_text("dim 2\nsc 0 1 -> 0:1\nsc 0 1 -> 1:1\n")  # duplicate
     with pytest.raises(AlgebraFormatError):
         Algebra.from_text("dim 2\nwhat 0\n")
+
+
+def test_text_format_bounds_dim(capped_python):
+    assert Algebra.from_text(f"dim {MAX_DIM}").dim == MAX_DIM
+    code = (
+        "from malcevlab.algebra import Algebra, AlgebraFormatError\n"
+        "try:\n"
+        "    Algebra.from_text('dim 1000000000000\\nsc 0 1 -> 2:1')\n"
+        "except AlgebraFormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = capped_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"line 1: dim 1000000000000 exceeds {MAX_DIM}\n"
 
 
 def test_text_format_comments_and_rationals():

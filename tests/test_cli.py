@@ -106,6 +106,24 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
     assert code == 1 and "status: fails" in stdout
 
 
+def test_term_count_bound_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "heis.alg"
+    run_cli(capsys, "build", "zoo", "heisenberg", "-o", str(out))
+    inner = "x"
+    for _ in range(20):  # 3^20 terms, if nothing stopped it
+        inner = f"J({inner},y,z)"
+    code, stdout, stderr = run_cli(capsys, "check", str(out), f"d : x,y,z | {inner} = 0")
+    assert code == 2 and "terms" in stderr and not stdout
+
+
+def test_huge_dim_is_an_input_error(tmp_path, capped_python):
+    path = tmp_path / "huge.alg"
+    path.write_text("dim 1000000000000\n")
+    done = capped_python("-m", "malcevlab.cli", "check", str(path), "first_type_5")
+    assert done.returncode == 2, done.stderr
+    assert "exceeds" in done.stderr and not done.stdout
+
+
 def test_check_accepts_dsl(tmp_path, capsys):
     out = tmp_path / "atilde.alg"
     run_cli(capsys, "build", "paper-example", "-o", str(out))

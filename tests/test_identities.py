@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from unittest import mock
 
 import pytest
 
@@ -14,7 +16,7 @@ from malcevlab import (
 )
 from malcevlab.construct import cross_product_algebra, octonion_malcev
 from malcevlab.engine import evaluate_identity, random_element
-from malcevlab.identities import MAX_NESTING
+from malcevlab.identities import _CATALOG_SOURCES, MAX_NESTING, MAX_TERMS
 
 
 def side_as_dict(side):
@@ -104,6 +106,43 @@ def test_nesting_depth_is_bounded():
         inner = f"({inner})"
     with pytest.raises(IdentityParseError):
         parse_identity(f"d : x,y,z | J({inner},z,z) = 0")
+
+
+def _nested_j(levels):
+    inner = "x"
+    for _ in range(levels):
+        inner = f"J({inner},y,z)"
+    return f"d : x,y,z | {inner} = 0"
+
+
+def test_term_count_is_bounded():
+    # J triples the terms per level: 8 levels expand to 3^8 = 6,561 terms,
+    # the 9th would build 19,683
+    assert 3**8 <= MAX_TERMS < 3**9
+    parse_identity(_nested_j(8))
+    text = _nested_j(20)
+    start = time.perf_counter()
+    with pytest.raises(IdentityParseError) as info:
+        parse_identity(text)
+    assert time.perf_counter() - start < 1.0
+    # the 9th J from the inside, whose expansion is refused before it is built
+    assert info.value.pos == text.index("J(") + 2 * (20 - 9)
+    assert "terms" in str(info.value)
+    # a product and a sum are bounded too
+    eight = _nested_j(8).split("| ")[1].split(" =")[0]
+    with pytest.raises(IdentityParseError):
+        parse_identity(f"d : x,y,z | ({eight})*({eight}) = 0")
+    with pytest.raises(IdentityParseError) as info:
+        parse_identity(f"d : x,y,z | {eight} + {eight} = 0")
+    assert info.value.pos == len(f"d : x,y,z | {eight} ")
+
+
+def test_catalog_parses_unchanged_under_the_term_bound():
+    catalog = builtin_catalog()
+    for source, _, _ in _CATALOG_SOURCES:
+        with mock.patch("malcevlab.identities.MAX_TERMS", 10**12):
+            unbounded = parse_identity(source)
+        assert parse_identity(source) == unbounded == catalog[unbounded.name].identity
 
 
 def test_zero_sides():

@@ -70,7 +70,14 @@ SEEDED_RANDOM = st.integers(0, 2**32 - 1).map(random.Random)
 
 @contextmanager
 def plain_fractions():
-    """The Fraction path: no model, no integral rows or coefficients."""
+    """The Fraction path: no model, no integral rows or coefficients.
+
+    Only the products change path.  The echelon accumulator is integral on
+    either path (a Fraction vector enters it as its integral form), so
+    this reference shares it and does not cover a Fraction RREF: the
+    integer echelon has its own differential test against sympy in
+    test_subspaces.py.
+    """
     with mock.patch.object(Algebra, "integral_model", lambda self: (self, 1)), \
             mock.patch.object(engine, "_integral_terms", lambda ident, terms, d: (terms, 1)), \
             mock.patch.object(subspaces, "_integral", subspaces._sparse):

@@ -1,12 +1,18 @@
 import random
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from malcevlab import (
     Algebra,
+    Element,
     NotAnIdealError,
     Subspace,
     catalog_identity,
@@ -27,7 +33,14 @@ from malcevlab.construct import (
     cross_product_algebra,
     heisenberg_algebra,
 )
+from malcevlab.engine import random_element
 from malcevlab.subspaces import filtration, stable_powers
+from malcevlab.verify import _power_triples
+
+# the benchmark's change of basis and generator triples (rational_rebased)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from rebase import Rebased, seeded_basis  # noqa: E402
+from workloads import HALF, STRUCTURE_PATTERN, TRIPLE_SEED, TRIPLES  # noqa: E402
 
 
 def random_matrix(rng, rows, cols):
@@ -143,21 +156,50 @@ def test_lie_kernel_of_example(atilde):
     assert kernel.contains(atilde.basis_element(22))
 
 
-def test_lie_kernel_matches_sympy_nullspace(atilde):
+def _sympy_lie_kernel(algebra):
+    """N(A) as the sympy nullspace of J(e_i, e_j, e_k) over every ordered
+    (i, j, k), each J through the dense Algebra.jacobian."""
     rows = []
-    for j in range(atilde.dim):
-        for k in range(j + 1, atilde.dim):
+    for j in range(algebra.dim):
+        for k in range(j + 1, algebra.dim):
             columns = {}
-            for i in range(atilde.dim):
-                jac = atilde.jacobian(
-                    atilde.basis_element(i), atilde.basis_element(j), atilde.basis_element(k)
+            for i in range(algebra.dim):
+                jac = algebra.jacobian(
+                    algebra.basis_element(i), algebra.basis_element(j), algebra.basis_element(k)
                 )
                 for c, val in jac.nonzero():
-                    columns.setdefault(c, [0] * atilde.dim)[i] = val
+                    columns.setdefault(c, [0] * algebra.dim)[i] = val
             rows.extend(columns.values())
+    if not rows:
+        return full_space(algebra)
     nullspace = sympy.Matrix(rows).nullspace()
-    oracle = Subspace(atilde.dim, [[Fraction(str(x)) for x in v] for v in nullspace])
-    assert lie_kernel(atilde) == oracle
+    return Subspace(algebra.dim, [[Fraction(str(x)) for x in v] for v in nullspace])
+
+
+def test_lie_kernel_matches_sympy_nullspace(atilde):
+    assert lie_kernel(atilde) == _sympy_lie_kernel(atilde)
+
+
+def _zoo_algebra(animals, name):
+    """A zoo algebra; 'NAME@rebased' is NAME in the basis f_i = e_i +-
+    e_(i-1)/2, the rational_rebased pattern, which mixes the grading."""
+    base, _, rebased = name.partition("@")
+    algebra = animals[base]
+    if not rebased:
+        return algebra
+    pattern = tuple((i + 1, i) for i in range(algebra.dim - 1))
+    return Rebased(algebra, seeded_basis(algebra.dim, pattern, HALF, random.Random(name))).algebra
+
+
+SMALL_ZOO = ["abelian_3", "cross_product", "heisenberg", "octonion_malcev", "free_2_3", "free_3_3"]
+
+
+@pytest.mark.parametrize("name", SMALL_ZOO + ["octonion_malcev@rebased", "quotient_22@rebased"])
+def test_lie_kernel_alternation_matches_sympy(animals, name):
+    # lie_kernel reads each unordered triple's J once, with the sign of
+    # the permutation; the oracle computes every ordered one
+    algebra = _zoo_algebra(animals, name)
+    assert lie_kernel(algebra) == _sympy_lie_kernel(algebra), name
 
 
 def test_jacobian_span(atilde):
@@ -283,3 +325,121 @@ def test_proposition2_fourth_power_in_kernel(animals):
             continue
         chain = power_chain(algebra, 4)
         assert lie_kernel(algebra).contains_subspace(chain[3]), name
+
+
+# -- the integer echelon against sympy -----------------------------------------
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),  # integral Fractions are not ints
+    st.fractions(-10**6, 10**6, max_denominator=10**6),
+)
+NONZERO = st.fractions(-50, 50, max_denominator=50).filter(bool)
+
+
+@st.composite
+def matrices(draw, width=None):
+    """Rows over Q with wide entries, plus scaled (often negated)
+    duplicates of some of them, in a random order."""
+    if width is None:
+        width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=width, max_size=width), min_size=1, max_size=5))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=3)):
+        k = draw(NONZERO)
+        rows.append([k * c for c in row])
+    return draw(st.permutations(rows))
+
+
+def _sympy_rref(rows):
+    ref, pivots = sympy.Matrix(rows).rref()
+    canonical = [
+        tuple(Fraction(int(x.p), int(x.q)) for x in ref.row(i))
+        for i in range(ref.rows)
+        if any(ref.row(i))
+    ]
+    return canonical, tuple(pivots)[: len(canonical)]
+
+
+@st.composite
+def echelon_cases(draw):
+    width = draw(st.integers(1, 6))
+    left = draw(matrices(width))
+    right = draw(matrices(width))
+    vec = draw(st.lists(ENTRY, min_size=width, max_size=width))
+    return left, right, vec
+
+
+# [2, 1] is an echelon row with pivot 2, and 3 is not a multiple of it:
+# [3, 0] is eliminated as 2*[3, 0] - 3*[2, 1], the a != 1 branch
+@example(([[2, 1], [3, 0]], [[0, 1]], [Fraction(1, 3), Fraction(5, 7)]))
+@example(([[-4, 6, 0], [2, -3, 1]], [[6, 9, 0]], [1, 1, 1]))
+@settings(max_examples=150, deadline=None)
+@given(echelon_cases())
+def test_integer_echelon_matches_sympy(case):
+    left, right, vec = case
+    width = len(vec)
+    space = Subspace(width, left)
+    canonical, pivots = _sympy_rref(left)
+    assert [tuple(Fraction(c) for c in r) for r in space.rows] == canonical
+    assert space.pivots == pivots
+    # the exact residual: vec minus its pivot coordinates times the rows
+    residual = [Fraction(c) for c in vec]
+    for row, p in zip(canonical, pivots):
+        c = residual[p]
+        residual = [x - c * y for x, y in zip(residual, row)]
+    assert space.reduce(vec) == residual
+    assert space.contains(vec) == (not any(residual))
+    member = [sum((Fraction(c) * r[k] for c, r in zip(vec, left)), Fraction(0)) for k in range(width)]
+    assert space.contains(member)
+    other = Subspace(width, right)
+    both, _ = _sympy_rref(left + right)
+    assert [tuple(Fraction(c) for c in r) for r in space.add(other).rows] == both
+    assert space.contains_subspace(other) == (len(both) == len(canonical))
+    assert other.contains_subspace(space) == (len(both) == other.dim)
+
+
+# -- alternation and product counts --------------------------------------------
+
+def _ordered_jacobian_span(algebra, *spaces):
+    """J over every ordered row triple, each through the dense
+    Algebra.jacobian."""
+    us, vs, ws = ([Element(r) for r in s.rows] for s in spaces)
+    return Subspace(algebra.dim, [algebra.jacobian(u, v, w) for u in us for v in vs for w in ws])
+
+
+@pytest.mark.parametrize("name", SMALL_ZOO + ["octonion_malcev@rebased"])
+def test_jacobian_span_alternation_on_the_zoo(animals, name):
+    algebra = _zoo_algebra(animals, name)
+    rng = random.Random(name)
+    full = full_space(algebra)
+    low = span(algebra, [random_element(algebra, rng) for _ in range(2)])
+    high = span(algebra, [random_element(algebra, rng) for _ in range(3)])
+    cases = [(full, full, full), (low, low, full), (full, low, low), (low, full, low),
+             (low, high, full), (high, high, high)]
+    for spaces in cases:
+        assert jacobian_span(algebra, *spaces) == _ordered_jacobian_span(algebra, *spaces), name
+
+
+def test_jacobian_span_alternation_on_the_power_chain(atilde):
+    chain = power_chain(atilde, 4)
+    # verify's power triples (i <= j <= k), and one with only u = w
+    for i, j, k in list(_power_triples()) + [(1, 2, 1)]:
+        spaces = (chain[i - 1], chain[j - 1], chain[k - 1])
+        assert jacobian_span(atilde, *spaces) == _ordered_jacobian_span(atilde, *spaces), (i, j, k)
+
+
+def test_product_counts():
+    at = second_type_example()
+    full = full_space(at)
+    # one J (six products) per unordered triple of basis rows
+    assert _count_products(jacobian_span, at, full, full, full) == 6 * comb(23, 3)
+    assert _count_products(lie_kernel, at) <= 6 * comb(23, 3)
+    # rational_rebased's 16 triples: the closure's last pass makes the table
+    rebased = Rebased(at, seeded_basis(at.dim, STRUCTURE_PATTERN, HALF, random.Random(3)))
+    rng = random.Random(TRIPLE_SEED)
+    triples = [[Element(rebased.from_original(random_element(at, rng))) for _ in range(3)]
+               for _ in range(TRIPLES)]
+    algebra = rebased.algebra
+    algebra.integral_model()
+    assert _count_products(lambda: [subalgebra_generate(algebra, t) for t in triples]) == 2208
