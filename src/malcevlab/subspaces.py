@@ -363,35 +363,32 @@ def lie_kernel(algebra: Algebra) -> Subspace:
     """N(A) = {x : J(x, A, A) = 0}, solved as an exact linear system over
     all basis pairs.
 
-    J is alternating in an anticommutative algebra, so each J(e_i, e_j,
-    e_k) is computed once per unordered triple, when first needed, and
-    read with the sign of the permutation that sorts (i, j, k).
+    J is alternating in an anticommutative algebra, so J(e_i, e_j, e_k) is
+    computed once per unordered triple a < b < c and read with the sign of
+    the permutation that sorts (i, j, k).  The pairs (j, k) run in
+    lexicographic order, so the triple's three uses come at the pairs
+    (a, b), (a, c) and (b, c), in that order: it is computed at the first,
+    when the early exit has not yet been taken, and dropped at the last.
     """
     dim = algebra.dim
     # each J in the model is D^2 times the J here: the same constraints
     model = algebra.integral_model()[0]
     constraints = _Echelon(dim)
     basis = [{i: 1} for i in range(dim)]
-    memo: dict = {}
-
-    def jac(a, b, c):  # a < b < c
-        out = memo.get((a, b, c))
-        if out is None:
-            out = memo[(a, b, c)] = _jac_sparse(model, basis[a], basis[b], basis[c])
-        return out
-
+    jacobians: dict = {}  # (a, b, c) -> J(e_a, e_b, e_c), between its first and last use
     for j in range(dim):
         for k in range(j + 1, dim):
             columns: dict = {}
             for i in range(dim):
-                if i < j:
-                    sign, vec = 1, jac(i, j, k)
-                elif i == j or i == k:
+                if i == j or i == k:
                     continue  # J with a repeated argument vanishes
-                elif i < k:
-                    sign, vec = -1, jac(j, i, k)
+                if i > k:
+                    sign = 1
+                    vec = jacobians[(j, k, i)] = _jac_sparse(model, basis[j], basis[k], basis[i])
+                elif i > j:
+                    sign, vec = -1, jacobians[(j, i, k)]
                 else:
-                    sign, vec = 1, jac(j, k, i)
+                    sign, vec = 1, jacobians.pop((i, j, k))
                 for c, val in vec.items():
                     row = columns.get(c)
                     if row is None:
