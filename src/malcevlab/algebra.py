@@ -280,7 +280,7 @@ class Algebra:
     @classmethod
     def from_text(cls, text: str, name: str = "") -> "Algebra":
         dim = None
-        labels: dict[int, str] = {}
+        labels: dict[int, tuple] = {}   # index -> (line number, name)
         products: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -297,7 +297,11 @@ class Algebra:
                 elif fields[0] == "label":
                     if len(fields) != 3:
                         raise AlgebraFormatError(f"line {lineno}: label needs index and name")
-                    labels[int(fields[1])] = fields[2]
+                    index = int(fields[1])
+                    if index in labels:
+                        raise AlgebraFormatError(
+                            f"line {lineno}: duplicate label {index} (first on line {labels[index][0]})")
+                    labels[index] = (lineno, fields[2])
                 elif fields[0] == "sc":
                     if len(fields) < 5 or fields[3] != "->":
                         raise AlgebraFormatError(f"line {lineno}: expected 'sc i j -> k:c ...'")
@@ -322,7 +326,10 @@ class Algebra:
                 raise AlgebraFormatError(f"line {lineno}: {exc}") from exc
         if dim is None:
             raise AlgebraFormatError("missing dim line")
-        label_list = [labels.get(i, f"e{i}") for i in range(dim)]
+        for index, (lineno, _) in labels.items():
+            if not 0 <= index < dim:
+                raise AlgebraFormatError(f"line {lineno}: label index {index} outside 0..{dim - 1}")
+        label_list = [labels[i][1] if i in labels else f"e{i}" for i in range(dim)]
         try:
             return cls(dim, label_list, products, name=name)
         except ValueError as exc:

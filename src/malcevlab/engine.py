@@ -5,11 +5,27 @@ tuple of basis elements, so exhaustive enumeration of the dim^n basis
 tuples is a complete decision procedure.  Non-multilinear identities are
 first fully linearized, which is an equivalent identity over the rationals.
 
-The evaluator compiles the identity's terms into a shared-subterm DAG and
-hoists each subterm to the outermost enumeration depth at which all its
-variables are bound, so e.g. in a 5-variable check the subterm x1*x2 is
-recomputed dim^2 times rather than dim^5 times.  Values are sparse
-coefficient dicts of Python ints, whatever the structure constants.
+Before compiling, the terms are reduced modulo anticommutativity: each
+tree is rewritten to its canonical word (words.canonicalize) times a sign,
+equal words are summed and zero sums dropped.  Every Algebra is
+anticommutative by construction (only the i < j products are stored;
+e_j e_i = -(e_i e_j) and e_i e_i = 0 are synthesized), so uv = -vu and
+uu = 0 for all elements u, v, and each term has the value of its canonical
+word times the sign: the residual at every tuple is unchanged.  malcev
+goes from 12 to 8 terms, `anticommutative` to none.  The checked form in
+the report keeps the terms as written.
+
+The canonical terms are compiled into a shared-subterm DAG, and each
+subterm is evaluated once per assignment of its own variables.  A subterm
+over exactly the axes 0..d is computed at each visit of depth d.  Any
+other subterm, with variable set S, last axis d and first missing axis m,
+is read from a table keyed by its axes in S after m and filled on a miss;
+the table is emptied whenever the loop at depth m starts, since the axes
+before m, all in S, are then fixed.  So in a 4-variable check x2*x4 (axes
+1 and 3) is multiplied dim^2 times, not dim^4 times.  A table holds at most
+dim^|S & (m, d]| <= dim^(n-1) entries for n variables; every catalog
+identity and skew map needs at most dim^3.  Values are sparse coefficient
+dicts of Python ints, whatever the structure constants.
 
 The scan runs in the algebra's integral model A_D (Algebra.integral_model),
 whose constants are D times the algebra's.  Every term of an identity has
@@ -41,15 +57,16 @@ counterexample, so reports do not depend on the number of jobs.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .algebra import Algebra, Element, accumulate, unscale
-from .identities import Identity, IdentityError, linearize
+from .identities import Identity, IdentityError, _combine, linearize
 from .rationals import normalize
 from .subspaces import filtration
+from .words import canonicalize
 
 
 @dataclass(frozen=True)
@@ -88,47 +105,94 @@ def _integral_terms(ident: Identity, terms, d: int):
     return tuple((normalize(coeff * den), tree) for coeff, tree in terms), den * d ** products
 
 
-def _compile(terms, variables):
-    """Build the shared-subterm evaluation program.
-
-    Returns (n_slots, var_slot_per_axis, muls_by_depth, weighted) where
-    muls_by_depth[d] lists (slot, left, right) products computable once the
-    d-th variable is bound.
-    """
+def _canonical_terms(terms, variables) -> tuple:
+    """The terms modulo anticommutativity, with each variable replaced by
+    its axis: every tree is rewritten to its canonical word (words.
+    canonicalize), its coefficient multiplied by the sign, equal words
+    summed and zero sums dropped.  Exact on every Algebra, whose products
+    are anticommutative by construction."""
     axis = {v: i for i, v in enumerate(variables)}
-    n_vars = len(variables)
+
+    def axes(tree):
+        if isinstance(tree, str):
+            return axis[tree]
+        return axes(tree[0]), axes(tree[1])
+
+    signed = []
+    for coeff, tree in terms:
+        sign, word = canonicalize(axes(tree))
+        if sign:
+            signed.append((sign * coeff, word))
+    return _combine(signed)
+
+
+def _key_axes(variables: frozenset, d: int):
+    """(m, key_axes) for a product over these axes, the last of them d: m
+    is the first axis before d that it does not use, key_axes its axes
+    after m.  None when it uses every axis of 0..d: then each visit at
+    depth d is a new assignment of its variables."""
+    m = next((a for a in range(d) if a not in variables), None)
+    if m is None:
+        return None
+    return m, tuple(a for a in sorted(variables) if a > m)
+
+
+def _compile(terms, n_vars: int):
+    """Build the shared-subterm evaluation program of canonical terms
+    (leaves are axes, as _canonical_terms gives them).
+
+    Returns (n_slots, var_slot_per_axis, tabled_by_depth, muls_by_depth,
+    weighted, clear_at).  Both by-depth lists hold the products computable
+    once the d-th variable is bound, children before parents.
+    muls_by_depth[d] lists (slot, left, right) for the products over
+    exactly the variables 0..d, computed at each visit.
+    tabled_by_depth[d] lists (slot, left, right, table, key) for the
+    others, read from and filled into table number `table` at key(idx),
+    their variables after m (_key_axes); clear_at[m] lists the tables
+    emptied whenever the loop at depth m starts.  A tabled product's
+    children are variables, tabled products or products of a lower depth,
+    so the scan computes the tabled products of a depth before the others.
+    """
     interned: dict = {}
-    exprs: list = []   # ('var', axis) or ('mul', l, r)
-    depth: list = []
+    exprs: list = []       # ('var', axis) or ('mul', l, r)
+    variables: list = []   # frozenset of axes per slot
 
     def intern(tree):
-        if isinstance(tree, str):
-            key = ("v", axis[tree])
+        if isinstance(tree, int):
+            key = ("var", tree)
         else:
-            l = intern(tree[0])
-            r = intern(tree[1])
-            key = ("m", l, r)
+            key = ("mul", intern(tree[0]), intern(tree[1]))
         slot = interned.get(key)
         if slot is None:
-            slot = len(exprs)
-            interned[key] = slot
-            if key[0] == "v":
-                exprs.append(("var", key[1]))
-                depth.append(key[1])
+            slot = interned[key] = len(exprs)
+            exprs.append(key)
+            if key[0] == "var":
+                variables.append(frozenset((tree,)))
             else:
-                exprs.append(("mul", key[1], key[2]))
-                depth.append(max(depth[key[1]], depth[key[2]]))
+                variables.append(variables[key[1]] | variables[key[2]])
         return slot
 
     weighted = tuple((coeff, intern(tree)) for coeff, tree in terms)
     var_slot = [None] * n_vars
+    tabled_by_depth = [[] for _ in range(n_vars)]
     muls_by_depth = [[] for _ in range(n_vars)]
+    clear_at = [[] for _ in range(n_vars)]
+    n_tables = 0
     for slot, expr in enumerate(exprs):
         if expr[0] == "var":
             var_slot[expr[1]] = slot
+            continue
+        d = max(variables[slot])
+        plan = _key_axes(variables[slot], d)
+        if plan is None:
+            muls_by_depth[d].append((slot, expr[1], expr[2]))
         else:
-            muls_by_depth[depth[slot]].append((slot, expr[1], expr[2]))
-    return len(exprs), var_slot, [tuple(m) for m in muls_by_depth], weighted
+            m, key_axes = plan
+            tabled_by_depth[d].append((slot, expr[1], expr[2], n_tables, itemgetter(*key_axes)))
+            clear_at[m].append(n_tables)
+            n_tables += 1
+    return (len(exprs), var_slot, [tuple(t) for t in tabled_by_depth],
+            [tuple(m) for m in muls_by_depth], weighted, [tuple(c) for c in clear_at])
 
 
 def _scan(algebra, program, n_vars, first_indices, collect, filt):
@@ -143,8 +207,15 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt):
     leaves the tuple's total below c, counting one for every variable not
     yet bound; the caller filters the first axis the same way
     (_first_axis).  Tuples are visited in lexicographic order either way.
+
+    The subterm tables belong to this call: a pool task scanning one
+    first-axis index fills its own.
     """
-    n_slots, var_slot, muls_by_depth, weighted = program
+    n_slots, var_slot, tabled_by_depth, muls_by_depth, weighted, clear_at = program
+    tables = [{} for _ in range(sum(map(len, clear_at)))]
+    tabled_by_depth = [tuple((slot, l, r, tables[t], key) for slot, l, r, t, key in level)
+                       for level in tabled_by_depth]
+    clear_at = [tuple(tables[t] for t in level) for level in clear_at]
     values = [None] * n_slots
     idx = [0] * n_vars
     every = range(algebra.dim)
@@ -159,11 +230,20 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt):
 
     def run(d, todo, spent):
         vs = var_slot[d]
+        my_tabled = tabled_by_depth[d]
         my_muls = muls_by_depth[d]
+        for table in clear_at[d]:
+            table.clear()
         for i in todo:
             idx[d] = i
             if vs is not None:
                 values[vs] = {i: 1}
+            for slot, l, r, table, key in my_tabled:
+                k = key(idx)
+                value = table.get(k)
+                if value is None:
+                    value = table[k] = mul(values[l], values[r])
+                values[slot] = value
             for slot, l, r in my_muls:
                 values[slot] = mul(values[l], values[r])
             if d == last:
@@ -234,6 +314,8 @@ def _collect_index(i):
 
 
 def _pool(algebra, program, n_vars, filt, jobs):
+    import multiprocessing
+
     return multiprocessing.get_context("fork").Pool(
         jobs, initializer=_init_worker, initargs=(algebra, program, n_vars, filt)
     )
@@ -258,7 +340,7 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
     if any, and the number of tuples up to the decision point.
     """
     checked = ident if ident.is_multilinear else linearize(ident)
-    terms = checked.residual_terms()
+    terms = _canonical_terms(checked.residual_terms(), checked.variables)
     n_vars = len(checked.variables)
     dim = algebra.dim
     total = dim ** n_vars
@@ -266,7 +348,7 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
         return CheckReport("holds", checked, total)
     model, d = algebra.integral_model()
     terms, scale = _integral_terms(checked, terms, d)
-    program = _compile(terms, checked.variables)
+    program = _compile(terms, n_vars)
     # a degree-0 variable adds no factor to any product, so the weight
     # bound holds only when every variable has degree 1
     filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
@@ -303,7 +385,7 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
     """
     if not map_ident.is_multilinear:
         raise IdentityError(f"{map_ident.name}: skew check requires a multilinear map")
-    terms = map_ident.residual_terms()
+    terms = _canonical_terms(map_ident.residual_terms(), map_ident.variables)
     n_vars = len(map_ident.variables)
     dim = algebra.dim
     total = dim ** n_vars
@@ -311,7 +393,7 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
         return CheckReport("holds", map_ident, total)
     model, d = algebra.integral_model()
     terms, scale = _integral_terms(map_ident, terms, d)
-    program = _compile(terms, map_ident.variables)
+    program = _compile(terms, n_vars)
     filt = filtration(algebra)
     first = _first_axis(filt, dim, n_vars)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from malcevlab import engine
 from malcevlab import (
     free_anticommutative,
     multilinear_base_22,
@@ -32,6 +33,14 @@ def animals():
 @pytest.fixture(scope="session")
 def free44():
     return free_anticommutative(4, 4)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    # the pool serves unpruned scans (non-nilpotent algebras) of at least
+    # _PARALLEL_THRESHOLD tuples; the octonion checks have 7^4, so lower it
+    # to make these tests exercise the pool path
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

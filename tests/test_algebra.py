@@ -166,6 +166,17 @@ def test_text_format_errors():
         Algebra.from_text("dim 2\nwhat 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nlabel 5 foo\nlabel -1 bar\nsc 0 1 -> 1:1\n", "line 2: label index 5 outside 0..1"),
+    ("label -1 bar\ndim 2\n", "line 1: label index -1 outside 0..1"),
+    ("dim 2\nlabel 0 x\nlabel 0 y\n", "line 3: duplicate label 0 (first on line 2)"),
+])
+def test_text_format_rejects_unusable_labels(text, message):
+    with pytest.raises(AlgebraFormatError) as info:
+        Algebra.from_text(text)
+    assert str(info.value) == message
+
+
 def test_text_format_bounds_dim(capped_python):
     assert Algebra.from_text(f"dim {MAX_DIM}").dim == MAX_DIM
     code = (

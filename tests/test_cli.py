@@ -116,6 +116,24 @@ def test_term_count_bound_is_a_parse_error(tmp_path, capsys):
     assert code == 2 and "terms" in stderr and not stdout
 
 
+@pytest.mark.parametrize("labels, message", [
+    ("label 5 foo\nlabel -1 bar\n", "line 2: label index 5 outside 0..1"),
+    ("label 0 x\nlabel 0 y\n", "line 3: duplicate label 0"),
+])
+def test_unusable_labels_are_input_errors(tmp_path, capsys, labels, message):
+    path = tmp_path / "labels.alg"
+    path.write_text(f"dim 2\n{labels}sc 0 1 -> 1:1\n")
+    code, stdout, stderr = run_cli(capsys, "powers", str(path))
+    assert code == 2 and message in stderr and not stdout
+
+
+def test_cli_import_leaves_multiprocessing_out(capped_python):
+    # only the engine's pool uses it: the CLI's cold start does not import it
+    done = capped_python("-c", "import sys, malcevlab.cli; print('multiprocessing' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_huge_dim_is_an_input_error(tmp_path, capped_python):
     path = tmp_path / "huge.alg"
     path.write_text("dim 1000000000000\n")

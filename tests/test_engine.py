@@ -58,14 +58,6 @@ def test_counterexample_reevaluates_nonzero(atilde):
     assert not value.is_zero()
 
 
-@pytest.fixture
-def force_pool(monkeypatch):
-    # the pool serves unpruned scans (non-nilpotent algebras) of at least
-    # _PARALLEL_THRESHOLD tuples; the octonion checks have 7^4, so lower it
-    # to make these tests exercise the pool path
-    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
-
-
 def _outcome(report):
     cx = report.counterexample
     witness = None if cx is None else (cx.indices, cx.residual, cx.transposition)
