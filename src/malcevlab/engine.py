@@ -50,6 +50,24 @@ contribute nothing, so the verdict, the first counterexample and
 tuples_checked (the lexicographic rank of the decision point, or dim^n
 when the identity holds) are those of the plain scan over all dim^n tuples.
 
+Tuples that cannot be the first witness are skipped too.  check_identity
+finds the axis transpositions (a b), a < b, that map the canonical terms
+to themselves (symmetric) or to their negation (skew): relabelling a and b
+in every word and reducing again gives the same terms, or all of them
+negated.  Then the residual f satisfies f(t') = f(t) or f(t') = -f(t),
+where t' is t with entries a and b swapped, so t and t' are zero or
+nonzero together.  At a tuple with t[a] > t[b], t' is lexicographically
+smaller (the entries before a agree and t'[a] = t[b] < t[a]); and for a
+skew pair with t[a] = t[b], t' = t gives f(t) = -f(t) = 0.  So the first
+nonzero tuple has t[b] >= t[a] for every symmetric pair and t[b] > t[a]
+for every skew pair, and the scan enters depth b only at such indices.
+Every tuple before the first nonzero one is zero whether visited or not,
+so the verdict, the first counterexample and tuples_checked are those of
+the plain scan.  sagle_2_14 is skew in its last three variables and keeps
+245 of 7^4 tuples on the octonions, malcev is symmetric in its first two
+and keeps 1,372.  check_skew_symmetric needs every nonzero value and scans
+without these bounds.
+
 Enumeration is lexicographic; parallel runs (unpruned scans only)
 partition the first axis and merge by lexicographically smallest
 counterexample, so reports do not depend on the number of jobs.
@@ -57,8 +75,10 @@ counterexample, so reports do not depend on the number of jobs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
@@ -110,11 +130,12 @@ def _canonical_terms(terms, variables) -> tuple:
     its axis: every tree is rewritten to its canonical word (words.
     canonicalize), its coefficient multiplied by the sign, equal words
     summed and zero sums dropped.  Exact on every Algebra, whose products
-    are anticommutative by construction."""
+    are anticommutative by construction.  A variable is a name, or an axis
+    when _transpositions relabels terms already canonical."""
     axis = {v: i for i, v in enumerate(variables)}
 
     def axes(tree):
-        if isinstance(tree, str):
+        if not isinstance(tree, tuple):
             return axis[tree]
         return axes(tree[0]), axes(tree[1])
 
@@ -124,6 +145,26 @@ def _canonical_terms(terms, variables) -> tuple:
         if sign:
             signed.append((sign * coeff, word))
     return _combine(signed)
+
+
+def _transpositions(terms, n_vars: int) -> tuple:
+    """(a, b, skew) for every axis transposition (a b), a < b, that maps the
+    canonical terms to themselves (skew False) or to their negation (skew
+    True): the terms with axes a and b relabelled and reduced again
+    (_canonical_terms) have the same coefficient per word, or all of them
+    negated."""
+    own = {word: coeff for coeff, word in terms}
+    negated = {word: -coeff for word, coeff in own.items()}
+    found = []
+    for a, b in combinations(range(n_vars), 2):
+        relabelled = list(range(n_vars))
+        relabelled[a], relabelled[b] = b, a
+        moved = {word: coeff for coeff, word in _canonical_terms(terms, relabelled)}
+        if moved == own:
+            found.append((a, b, False))
+        elif moved == negated:
+            found.append((a, b, True))
+    return tuple(found)
 
 
 def _key_axes(variables: frozenset, d: int):
@@ -137,21 +178,26 @@ def _key_axes(variables: frozenset, d: int):
     return m, tuple(a for a in sorted(variables) if a > m)
 
 
-def _compile(terms, n_vars: int):
+def _compile(terms, n_vars: int, transpositions=()):
     """Build the shared-subterm evaluation program of canonical terms
     (leaves are axes, as _canonical_terms gives them).
 
     Returns (n_slots, var_slot_per_axis, tabled_by_depth, muls_by_depth,
-    weighted, clear_at).  Both by-depth lists hold the products computable
-    once the d-th variable is bound, children before parents.
+    weighted, clear_at, lower_by_depth).  tabled_by_depth and muls_by_depth
+    hold the products computable once the d-th variable is bound, children
+    before parents.
     muls_by_depth[d] lists (slot, left, right) for the products over
     exactly the variables 0..d, computed at each visit.
     tabled_by_depth[d] lists (slot, left, right, table, key) for the
     others, read from and filled into table number `table` at key(idx),
     their variables after m (_key_axes); clear_at[m] lists the tables
-    emptied whenever the loop at depth m starts.  A tabled product's
-    children are variables, tabled products or products of a lower depth,
-    so the scan computes the tabled products of a depth before the others.
+    emptied whenever the loop at depth m >= 1 starts.  A table with m = 0
+    is keyed by all its variables and is never emptied.  lower_by_depth[b]
+    lists (a, offset) for each of the transpositions (a, b, skew): the
+    scan enters depth b at indices >= idx[a] + offset, offset 1 when skew.
+    A tabled product's children are variables, tabled products or products
+    of a lower depth, so the scan computes the tabled products of a depth
+    before the others.
     """
     interned: dict = {}
     exprs: list = []       # ('var', axis) or ('mul', l, r)
@@ -189,13 +235,28 @@ def _compile(terms, n_vars: int):
         else:
             m, key_axes = plan
             tabled_by_depth[d].append((slot, expr[1], expr[2], n_tables, itemgetter(*key_axes)))
-            clear_at[m].append(n_tables)
+            if m:
+                clear_at[m].append(n_tables)
             n_tables += 1
+    lower_by_depth = [[] for _ in range(n_vars)]
+    for a, b, skew in transpositions:
+        lower_by_depth[b].append((a, int(skew)))
     return (len(exprs), var_slot, [tuple(t) for t in tabled_by_depth],
-            [tuple(m) for m in muls_by_depth], weighted, [tuple(c) for c in clear_at])
+            [tuple(m) for m in muls_by_depth], weighted, [tuple(c) for c in clear_at],
+            [tuple(low) for low in lower_by_depth])
 
 
-def _scan(algebra, program, n_vars, first_indices, collect, filt):
+def _tables(program):
+    """Fresh subterm tables bound into the program's tabled products:
+    (tabled_by_depth, clear_at) with each table number replaced by its dict."""
+    _, _, tabled_by_depth, _, _, clear_at, _ = program
+    tables = [{} for _ in range(sum(map(len, tabled_by_depth)))]
+    return ([tuple((slot, l, r, tables[t], key) for slot, l, r, t, key in level)
+             for level in tabled_by_depth],
+            [tuple(tables[t] for t in level) for level in clear_at])
+
+
+def _scan(algebra, program, n_vars, first_indices, collect, filt, tables=None):
     """Evaluate the program over basis tuples.
 
     With collect=None, stops at the first tuple with nonzero residual and
@@ -206,16 +267,16 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt):
     depth after the first iterates only the indices whose weight still
     leaves the tuple's total below c, counting one for every variable not
     yet bound; the caller filters the first axis the same way
-    (_first_axis).  Tuples are visited in lexicographic order either way.
+    (_first_axis).  Each depth b also starts at the program's lower bound
+    (lower_by_depth, from the transpositions).  Tuples are visited in
+    lexicographic order either way.
 
-    The subterm tables belong to this call: a pool task scanning one
-    first-axis index fills its own.
+    tables is _tables(program), fresh for this call when None.  A pool
+    worker passes its own to every task: a table with m = 0 is never
+    emptied, so it is filled once per worker, not once per first-axis index.
     """
-    n_slots, var_slot, tabled_by_depth, muls_by_depth, weighted, clear_at = program
-    tables = [{} for _ in range(sum(map(len, clear_at)))]
-    tabled_by_depth = [tuple((slot, l, r, tables[t], key) for slot, l, r, t, key in level)
-                       for level in tabled_by_depth]
-    clear_at = [tuple(tables[t] for t in level) for level in clear_at]
+    n_slots, var_slot, _, muls_by_depth, weighted, _, lower_by_depth = program
+    tabled_by_depth, clear_at = tables or _tables(program)
     values = [None] * n_slots
     idx = [0] * n_vars
     every = range(algebra.dim)
@@ -256,10 +317,14 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt):
                     collect[tuple(idx)] = acc
             else:
                 if c is None:
-                    hit = run(d + 1, every, 0)
+                    s, nxt = 0, every
                 else:
                     s = spent + weights[i]
-                    hit = run(d + 1, by_budget[max(slack[d + 1] - s, 0)], s)
+                    nxt = by_budget[max(slack[d + 1] - s, 0)]
+                lower = lower_by_depth[d + 1]
+                if lower:
+                    nxt = nxt[bisect_left(nxt, max(idx[a] + offset for a, offset in lower)):]
+                hit = run(d + 1, nxt, s)
                 if hit is not None:
                     return hit
         return None
@@ -298,18 +363,18 @@ _WORKER_STATE = None
 
 def _init_worker(algebra, program, n_vars, filt):
     global _WORKER_STATE
-    _WORKER_STATE = (algebra, program, n_vars, filt)
+    _WORKER_STATE = (algebra, program, n_vars, filt, _tables(program))
 
 
 def _scan_index(i):
-    algebra, program, n_vars, filt = _WORKER_STATE
-    return _scan(algebra, program, n_vars, (i,), None, filt)
+    algebra, program, n_vars, filt, tables = _WORKER_STATE
+    return _scan(algebra, program, n_vars, (i,), None, filt, tables)
 
 
 def _collect_index(i):
-    algebra, program, n_vars, filt = _WORKER_STATE
+    algebra, program, n_vars, filt, tables = _WORKER_STATE
     found: dict = {}
-    _scan(algebra, program, n_vars, (i,), found, filt)
+    _scan(algebra, program, n_vars, (i,), found, filt, tables)
     return found
 
 
@@ -346,9 +411,10 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
     total = dim ** n_vars
     if not terms or dim == 0:
         return CheckReport("holds", checked, total)
+    transpositions = _transpositions(terms, n_vars)
     model, d = algebra.integral_model()
     terms, scale = _integral_terms(checked, terms, d)
-    program = _compile(terms, n_vars)
+    program = _compile(terms, n_vars, transpositions)
     # a degree-0 variable adds no factor to any product, so the weight
     # bound holds only when every variable has degree 1
     filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED

@@ -21,6 +21,7 @@ share one multidegree, otherwise the parse is rejected.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,9 +169,11 @@ def _tokenize(src: str):
 # than running into the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# Most terms a product, a J(...) expansion or a side may expand to.  J
-# triples the term count of its arguments' product, so nesting alone grows
-# a parse as 3^depth; the count is checked before a list is built.
+# Most terms a product, a J(...) expansion, a side or a linearization may
+# expand to.  J triples the term count of its arguments' product, so
+# nesting alone grows a parse as 3^depth, and linearization turns each term
+# into the product of d! over its variables' degrees d; the count is
+# checked before a list is built.
 MAX_TERMS = 10_000
 
 
@@ -373,10 +376,17 @@ def linearize(ident: Identity) -> Identity:
     d! assignments of the fresh variables to the occurrences.  Over a field
     of characteristic 0 the original identity holds in an algebra iff the
     linearization does (substituting equal values back recovers d! times the
-    original).
+    original).  Raises IdentityError when that would build more than
+    MAX_TERMS terms, before it builds any.
     """
     if ident.is_multilinear:
         return ident
+    # every term has the identity's multidegree, so each turns into as many
+    count = (len(ident.lhs) + len(ident.rhs)) * math.prod(
+        math.factorial(d) for d in ident.multidegree.values())
+    if count > MAX_TERMS:
+        raise IdentityError(
+            f"{ident.name}: linearization expands to {count} terms, more than {MAX_TERMS}")
 
     variables = list(ident.variables)
     lhs, rhs = list(ident.lhs), list(ident.rhs)

@@ -142,6 +142,18 @@ def test_huge_dim_is_an_input_error(tmp_path, capped_python):
     assert "exceeds" in done.stderr and not done.stdout
 
 
+def test_oversized_linearization_is_an_input_error(tmp_path, capped_python):
+    # degree 8 in x would linearize to 8! = 40,320 terms, over MAX_TERMS
+    path = tmp_path / "h.alg"
+    path.write_text("dim 2\nsc 0 1 -> 1:1\n")
+    term = "y"
+    for _ in range(8):
+        term = f"({term})*x"
+    done = capped_python("-m", "malcevlab.cli", "check", str(path), f"d : x,y | {term} = 0")
+    assert done.returncode == 2, done.stderr
+    assert "40320 terms" in done.stderr and not done.stdout
+
+
 def test_check_accepts_dsl(tmp_path, capsys):
     out = tmp_path / "atilde.alg"
     run_cli(capsys, "build", "paper-example", "-o", str(out))

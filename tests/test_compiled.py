@@ -5,8 +5,10 @@ compiles them, and evaluates a product over variables other than exactly
 0..d (d its last axis) once per assignment of its own variables, from a
 table.  The reference is the same engine with, in this test only, every
 term kept as written (_canonical_terms patched to replace variables by
-axes and nothing else) and no product tabled (_key_axes patched to None):
-each product is then computed at every visit of its last variable.
+axes and nothing else), no product tabled (_key_axes patched to None) and
+no transposition bound (_transpositions patched to find none, as terms
+written in canonical form would otherwise give them): each product is
+then computed at every visit of its last variable, at every tuple.
 Verdict, first counterexample (indices, residual, transposition) and
 tuples_checked must agree, for identities and skew maps, on the zoo,
 after random rational changes of basis, on the pruned 23-dim example and
@@ -33,6 +35,7 @@ from malcevlab import (
     zoo,
 )
 from malcevlab import engine
+from malcevlab.algebra import Algebra
 from test_integral import SEEDED_RANDOM, _outcome, rebased
 
 ZOO = zoo()
@@ -77,9 +80,11 @@ def _as_written(terms, variables):
 
 @contextmanager
 def plain_program():
-    """Terms as written and no tables: every product at every visit."""
+    """Terms as written, no tables and no transposition bounds: every
+    product at every visit of every tuple."""
     with mock.patch.object(engine, "_canonical_terms", _as_written), \
-            mock.patch.object(engine, "_key_axes", lambda variables, d: None):
+            mock.patch.object(engine, "_key_axes", lambda variables, d: None), \
+            mock.patch.object(engine, "_transpositions", lambda terms, n_vars: ()):
         yield
 
 
@@ -171,3 +176,50 @@ def test_largest_malcev_table_on_the_octonions():
     with mock.patch.object(engine, "itemgetter", recording):
         assert check_identity(octonion_malcev(), catalog_identity("malcev")).ok
     assert seen and max(len(keys) for keys in seen) <= 7 ** 3
+
+
+class InProcessPool:
+    """The pool protocol run in this process by one worker: the
+    initializer once, then every task in order."""
+
+    def __init__(self, algebra, program, n_vars, filt, jobs):
+        engine._init_worker(algebra, program, n_vars, filt)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, task, items):
+        return map(task, items)
+
+
+def _products(check):
+    """(report, multiply_sparse calls) of check()."""
+    calls = []
+    multiply = Algebra.multiply_sparse
+
+    def counting(self, u, v):
+        calls.append(None)
+        return multiply(self, u, v)
+
+    with mock.patch.object(Algebra, "multiply_sparse", counting):
+        report = check()
+    return report, len(calls)
+
+
+@pytest.mark.parametrize("name", ["malcev", "sagle_2_15"])
+def test_a_worker_fills_its_first_axis_tables_once(force_pool, monkeypatch, name):
+    # a table keyed after axis 0 does not depend on idx[0]: a worker that
+    # scans every first-axis index, one task each, multiplies no more than
+    # one serial scan
+    algebra, ident = octonion_malcev(), catalog_identity(name)
+    check_identity(algebra, ident)  # the algebra caches its power chain
+    serial, serial_products = _products(lambda: check_identity(algebra, ident))
+    monkeypatch.setattr(engine, "_pool", InProcessPool)
+    monkeypatch.setattr(engine, "_WORKER_STATE", None)
+    pooled, pooled_products = _products(lambda: check_identity(algebra, ident, jobs=2))
+    assert engine._WORKER_STATE is not None
+    assert _outcome(pooled) == _outcome(serial)
+    assert serial_products > 0 and pooled_products <= serial_products

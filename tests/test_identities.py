@@ -189,6 +189,31 @@ def test_linearize_malcev_golden():
     assert side_as_dict(lin.rhs) == side_as_dict(expected.rhs)
 
 
+def _power(var: str, degree: int) -> str:
+    """y times var, degree times: one term of degree `degree` in var."""
+    text = "y"
+    for _ in range(degree):
+        text = f"({text})*{var}"
+    return text
+
+
+def test_linearization_term_count_is_bounded():
+    # one term of degree d in x linearizes to d! terms: 7! = 5,040 fit,
+    # 8! = 40,320 and two terms of 7! each do not
+    assert math.factorial(7) <= MAX_TERMS < 2 * math.factorial(7)
+    lin = linearize(parse_identity(f"d : x,y | {_power('x', 7)} = 0"))
+    assert lin.is_multilinear and len(lin.variables) == 8
+    assert len(lin.lhs) == math.factorial(7)
+    for text in (f"d : x,y | {_power('x', 8)} = 0",
+                 f"d : x,y | {_power('x', 7)} = {_power('x', 7)}"):
+        ident = parse_identity(text)
+        start = time.perf_counter()
+        with pytest.raises(IdentityError) as info:
+            linearize(ident)
+        assert time.perf_counter() - start < 0.1
+        assert f"more than {MAX_TERMS}" in str(info.value)
+
+
 def test_linearize_multilinear_is_identity():
     ident = builtin_catalog()["first_type_4"].identity
     assert linearize(ident) is ident
