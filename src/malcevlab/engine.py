@@ -65,8 +65,16 @@ Every tuple before the first nonzero one is zero whether visited or not,
 so the verdict, the first counterexample and tuples_checked are those of
 the plain scan.  sagle_2_14 is skew in its last three variables and keeps
 245 of 7^4 tuples on the octonions, malcev is symmetric in its first two
-and keeps 1,372.  check_skew_symmetric needs every nonzero value and scans
-without these bounds.
+and keeps 1,372.
+
+check_skew_symmetric is decided by the same scan.  A multilinear f is skew
+under (a a+1) iff g_a = f + f o (a a+1) vanishes on every basis tuple, an
+identity like any other.  g_a is symmetric in that pair, so its first
+nonzero tuple t has t[a] <= t[a+1]: t is the smaller of t and its swap.
+The least (first witness of g_a, a) over all a is therefore the first
+violating (tuple, transposition) pair in lexicographic order, with residual
+g_a(t) = f(t) + f(t swapped).  Where the terms of f are formally skew in
+the pair, g_a reduces to no terms and is not scanned.
 
 Enumeration is lexicographic; parallel runs (unpruned scans only)
 partition the first axis and merge by lexicographically smallest
@@ -78,6 +86,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from operator import itemgetter
@@ -131,7 +140,7 @@ def _canonical_terms(terms, variables) -> tuple:
     canonicalize), its coefficient multiplied by the sign, equal words
     summed and zero sums dropped.  Exact on every Algebra, whose products
     are anticommutative by construction.  A variable is a name, or an axis
-    when _transpositions relabels terms already canonical."""
+    when _swapped relabels terms already canonical."""
     axis = {v: i for i, v in enumerate(variables)}
 
     def axes(tree):
@@ -147,19 +156,25 @@ def _canonical_terms(terms, variables) -> tuple:
     return _combine(signed)
 
 
+def _swapped(terms, n_vars: int, a: int, b: int) -> tuple:
+    """Canonical terms with axes a and b exchanged, reduced again."""
+    relabelled = list(range(n_vars))
+    relabelled[a], relabelled[b] = b, a
+    return _canonical_terms(terms, relabelled)
+
+
+@lru_cache(maxsize=256)
 def _transpositions(terms, n_vars: int) -> tuple:
     """(a, b, skew) for every axis transposition (a b), a < b, that maps the
     canonical terms to themselves (skew False) or to their negation (skew
-    True): the terms with axes a and b relabelled and reduced again
-    (_canonical_terms) have the same coefficient per word, or all of them
-    negated."""
+    True): the terms with axes a and b exchanged (_swapped) have the same
+    coefficient per word, or all of them negated.  Cached: it depends on
+    the terms alone, and every check of one identity asks for it again."""
     own = {word: coeff for coeff, word in terms}
     negated = {word: -coeff for word, coeff in own.items()}
     found = []
     for a, b in combinations(range(n_vars), 2):
-        relabelled = list(range(n_vars))
-        relabelled[a], relabelled[b] = b, a
-        moved = {word: coeff for coeff, word in _canonical_terms(terms, relabelled)}
+        moved = {word: coeff for coeff, word in _swapped(terms, n_vars, a, b)}
         if moved == own:
             found.append((a, b, False))
         elif moved == negated:
@@ -256,12 +271,9 @@ def _tables(program):
             [tuple(tables[t] for t in level) for level in clear_at])
 
 
-def _scan(algebra, program, n_vars, first_indices, collect, filt, tables=None):
-    """Evaluate the program over basis tuples.
-
-    With collect=None, stops at the first tuple with nonzero residual and
-    returns (indices, residual_dict) or None.  With a dict, stores every
-    nonzero residual keyed by tuple and returns None.
+def _scan(algebra, program, n_vars, first_indices, filt, tables=None):
+    """Evaluate the program over basis tuples, in lexicographic order, up to
+    the first with nonzero residual: (indices, residual_dict), or None.
 
     filt is the algebra's filtration (weights, c).  With a class c, each
     depth after the first iterates only the indices whose weight still
@@ -312,9 +324,7 @@ def _scan(algebra, program, n_vars, first_indices, collect, filt, tables=None):
                 for coeff, slot in weighted:
                     accumulate(acc, coeff, values[slot].items())
                 if acc:
-                    if collect is None:
-                        return tuple(idx), acc
-                    collect[tuple(idx)] = acc
+                    return tuple(idx), acc
             else:
                 if c is None:
                     s, nxt = 0, every
@@ -368,14 +378,7 @@ def _init_worker(algebra, program, n_vars, filt):
 
 def _scan_index(i):
     algebra, program, n_vars, filt, tables = _WORKER_STATE
-    return _scan(algebra, program, n_vars, (i,), None, filt, tables)
-
-
-def _collect_index(i):
-    algebra, program, n_vars, filt, tables = _WORKER_STATE
-    found: dict = {}
-    _scan(algebra, program, n_vars, (i,), found, filt, tables)
-    return found
+    return _scan(algebra, program, n_vars, (i,), filt, tables)
 
 
 def _pool(algebra, program, n_vars, filt, jobs):
@@ -396,6 +399,39 @@ def _use_pool(filt, total: int, jobs: int) -> bool:
     return jobs > 1 and filt[1] is None and total >= _PARALLEL_THRESHOLD
 
 
+def _first_witness(algebra: Algebra, checked: Identity, terms, jobs: int):
+    """(indices, residual) at the lexicographically first basis tuple where
+    the canonical terms of the checked form are nonzero, or None; the
+    residual is the Element of the algebra."""
+    n_vars = len(checked.variables)
+    dim = algebra.dim
+    transpositions = _transpositions(terms, n_vars)
+    model, d = algebra.integral_model()
+    terms, scale = _integral_terms(checked, terms, d)
+    program = _compile(terms, n_vars, transpositions)
+    # a degree-0 variable adds no factor to any product, so the weight
+    # bound holds only when every variable has degree 1
+    filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
+    first = _first_axis(filt, dim, n_vars)
+
+    if _use_pool(filt, dim ** n_vars, jobs):
+        hit = None
+        # ordered consumption: the first hit seen is the lexicographically
+        # smallest, and breaking lets the context manager kill the rest
+        with _pool(model, program, n_vars, filt, jobs) as pool:
+            for result in pool.imap(_scan_index, first):
+                if result is not None:
+                    hit = result
+                    break
+    else:
+        hit = _scan(model, program, n_vars, first, filt)
+
+    if hit is None:
+        return None
+    indices, residual = hit
+    return indices, algebra._from_sparse(unscale(residual, scale))
+
+
 def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckReport:
     """Decide an identity on an algebra by exhaustive basis-tuple evaluation.
 
@@ -406,48 +442,26 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
     """
     checked = ident if ident.is_multilinear else linearize(ident)
     terms = _canonical_terms(checked.residual_terms(), checked.variables)
-    n_vars = len(checked.variables)
     dim = algebra.dim
-    total = dim ** n_vars
+    total = dim ** len(checked.variables)
     if not terms or dim == 0:
         return CheckReport("holds", checked, total)
-    transpositions = _transpositions(terms, n_vars)
-    model, d = algebra.integral_model()
-    terms, scale = _integral_terms(checked, terms, d)
-    program = _compile(terms, n_vars, transpositions)
-    # a degree-0 variable adds no factor to any product, so the weight
-    # bound holds only when every variable has degree 1
-    filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
-    first = _first_axis(filt, dim, n_vars)
-
-    if _use_pool(filt, total, jobs):
-        hit = None
-        # ordered consumption: the first hit seen is the lexicographically
-        # smallest, and breaking lets the context manager kill the rest
-        with _pool(model, program, n_vars, filt, jobs) as pool:
-            for result in pool.imap(_scan_index, first):
-                if result is not None:
-                    hit = result
-                    break
-    else:
-        hit = _scan(model, program, n_vars, first, None, filt)
-
+    hit = _first_witness(algebra, checked, terms, jobs)
     if hit is None:
         return CheckReport("holds", checked, total)
     indices, residual = hit
-    witness = Counterexample(indices, algebra._from_sparse(unscale(residual, scale)))
-    return CheckReport("fails", checked, _rank(indices, dim) + 1, witness)
+    return CheckReport("fails", checked, _rank(indices, dim) + 1, Counterexample(indices, residual))
 
 
 def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -> CheckReport:
     """Verify a multilinear map is skew-symmetric under adjacent swaps.
 
-    For every basis n-tuple t and every transposition (i, i+1) the value at
-    the swapped tuple must be the negation of the value at t.  The map is
-    evaluated once per tuple with only nonzero values retained; every
-    violating (tuple, transposition) pair has at least one nonzero side, so
-    scanning the nonzero set finds all violations.  The reported one is the
-    first in lexicographic (tuple, transposition) order.
+    For every basis n-tuple t and every transposition (a, a+1) the value at
+    the swapped tuple must be the negation of the value at t, that is,
+    g_a = f + f o (a a+1) must vanish on every basis tuple.  Each g_a is
+    decided by the identity scan; the reported violation is the first in
+    lexicographic (tuple, transposition) order, the tuple being the smaller
+    of the pair, and tuples_checked is dim^n.
     """
     if not map_ident.is_multilinear:
         raise IdentityError(f"{map_ident.name}: skew check requires a multilinear map")
@@ -455,41 +469,19 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
     n_vars = len(map_ident.variables)
     dim = algebra.dim
     total = dim ** n_vars
-    if not terms or dim == 0 or n_vars < 2:
+    if not terms or dim == 0:
         return CheckReport("holds", map_ident, total)
-    model, d = algebra.integral_model()
-    terms, scale = _integral_terms(map_ident, terms, d)
-    program = _compile(terms, n_vars)
-    filt = filtration(algebra)
-    first = _first_axis(filt, dim, n_vars)
-
-    # values at scale times their size in the algebra: a sum of two of
-    # them is zero exactly when the sum in the algebra is
-    nonzero: dict = {}
-    if _use_pool(filt, total, jobs):
-        with _pool(model, program, n_vars, filt, jobs) as pool:
-            for part in pool.imap_unordered(_collect_index, first):
-                nonzero.update(part)
-    else:
-        _scan(model, program, n_vars, first, nonzero, filt)
-
-    best = None
-    for t, value in nonzero.items():
-        for ax in range(n_vars - 1):
-            swapped = list(t)
-            swapped[ax], swapped[ax + 1] = swapped[ax + 1], swapped[ax]
-            s = tuple(swapped)
-            residual = accumulate(dict(nonzero.get(s, {})), 1, value.items())
-            if residual:
-                at = min(t, s)
-                key = (at, ax)
-                if best is None or key < best[0]:
-                    best = (key, residual)
-    if best is None:
+    violations = []
+    for a in range(n_vars - 1):
+        g = _combine(terms + _swapped(terms, n_vars, a, a + 1))
+        hit = _first_witness(algebra, map_ident, g, jobs) if g else None
+        if hit is not None:
+            violations.append((hit[0], a, hit[1]))
+    if not violations:
         return CheckReport("holds", map_ident, total)
-    (at, ax), residual = best
-    witness = Counterexample(at, algebra._from_sparse(unscale(residual, scale)), (ax, ax + 1))
-    return CheckReport("fails", map_ident, total, counterexample=witness)
+    indices, a, residual = min(violations, key=itemgetter(0, 1))
+    witness = Counterexample(indices, residual, (a, a + 1))
+    return CheckReport("fails", map_ident, total, witness)
 
 
 # -- dense evaluation (independent of the compiled path) -------------------

@@ -156,7 +156,11 @@ def _tokenize(src: str):
         if m.group("name"):
             tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # more digits than int() converts
+                raise IdentityParseError("integer literal too long", m.start("int")) from None
+            tokens.append(("int", value, m.start("int")))
         else:
             tokens.append(("sym", m.group("sym"), m.start("sym")))
         pos = m.end()

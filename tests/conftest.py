@@ -51,14 +51,21 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment of a child `python`: this one with src first on
+    PYTHONPATH, so the child imports malcevlab from this checkout whether
+    or not it is installed."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.fixture
-def capped_python():
+def capped_python(child_env):
     """Run `python ARGS...` in a child whose address space is capped at
     1 GiB: a test of a size bound then fails by a MemoryError, never by
     allocating the size it tests."""
     def run(*args):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=env, timeout=120, preexec_fn=_cap_address_space)
+                              env=child_env, timeout=120, preexec_fn=_cap_address_space)
     return run

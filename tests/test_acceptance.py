@@ -301,15 +301,15 @@ def test_criterion_11_oracle_crosscheck(animals):
 GOLDEN_REPORT = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "verify_seed0.txt"
 
 
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, child_env):
     # both runs must equal the machine-readable certificate recorded before
     # any search optimisation, byte for byte, hence also each other
     golden = GOLDEN_REPORT.read_bytes()
     with timer() as t:
         cmd = [sys.executable, "-m", "malcevlab.cli", "verify-paper", "--seed", "0",
                "--format", "machine-readable"]
-        first = subprocess.run(cmd, capture_output=True, timeout=1200)
-        second = subprocess.run(cmd, capture_output=True, timeout=1200)
+        first = subprocess.run(cmd, capture_output=True, env=child_env, timeout=1200)
+        second = subprocess.run(cmd, capture_output=True, env=child_env, timeout=1200)
         ok = (
             first.returncode == 0
             and second.returncode == 0

@@ -90,13 +90,13 @@ def test_semiprime_witness_precondition():
         semiprime_witness(free_anticommutative(3, 5))
 
 
-def test_verdict_guard_survives_optimized_mode():
+def test_verdict_guard_survives_optimized_mode(child_env):
     # lie without malcev breaks an implication; the guard must also fire
     # under python -O, which strips assert statements
     with pytest.raises(RuntimeError):
         TypeVerdict(True, True, False, False, False)
     code = "from malcevlab import TypeVerdict; TypeVerdict(True, True, False, False, False)"
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, env=child_env, timeout=60)
     assert proc.returncode != 0
     assert "RuntimeError: verdict breaks the hierarchy implications" in proc.stderr

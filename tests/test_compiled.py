@@ -69,11 +69,12 @@ TUPLE_BUDGET = 2401
 
 
 def _as_written(terms, variables):
-    """The terms with each variable replaced by its axis, nothing else."""
+    """The terms with each variable replaced by its axis, nothing else.  A
+    variable is a name, or an axis when the skew check relabels terms."""
     axis = {v: i for i, v in enumerate(variables)}
 
     def axes(tree):
-        return axis[tree] if isinstance(tree, str) else (axes(tree[0]), axes(tree[1]))
+        return axis[tree] if not isinstance(tree, tuple) else (axes(tree[0]), axes(tree[1]))
 
     return tuple((coeff, axes(tree)) for coeff, tree in terms)
 

@@ -1,0 +1,144 @@
+"""Fuzzing the input paths: the algebra file loader, the identity DSL and
+`malcevlab check`.
+
+Every input either succeeds or ends in the typed error of its layer
+(AlgebraFormatError, IdentityError) or, through the CLI, exit code 2;
+never another exception.  Exit 1 is kept for a check that ran and failed.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from malcevlab import parse_identity
+from malcevlab.construct import cross_product_algebra
+from malcevlab.algebra import MAX_DIM, Algebra, AlgebraFormatError
+from malcevlab.cli import main
+from malcevlab.identities import IdentityError
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# -- algebra files -----------------------------------------------------------
+
+INTS = st.one_of(st.integers(-2, 5), st.sampled_from([MAX_DIM, MAX_DIM + 1, 2 ** 70]))
+NUMBERS = st.one_of(INTS.map(str), st.sampled_from(["", "x", "1.5", "+1", "-0", "٣", "1" * 5000]))
+RATIONALS = st.one_of(
+    NUMBERS,
+    st.tuples(NUMBERS, NUMBERS).map("/".join),
+    st.sampled_from(["1/", "/2", "1//2", "1/0", "0/0"]),
+)
+LINES = st.one_of(
+    NUMBERS.map("dim {}".format),
+    st.tuples(NUMBERS, st.sampled_from(["a", "b", "e0", "x y", ""])).map(
+        lambda t: f"label {t[0]} {t[1]}"),
+    st.tuples(NUMBERS, NUMBERS, st.sampled_from(["->", "-", ""]),
+              st.lists(st.tuples(NUMBERS, RATIONALS).map(":".join), max_size=3)).map(
+        lambda t: f"sc {t[0]} {t[1]} {t[2]} " + " ".join(t[3])),
+    st.sampled_from(["", "# comment", "dim", "label", "sc", "sc 0 1 ->", "  \t"]),
+    st.text(max_size=12),
+)
+TEXTS = st.lists(LINES, max_size=8).map("\n".join)
+
+
+@FUZZ
+@given(TEXTS)
+def test_algebra_text_loads_or_raises_the_format_error(text):
+    try:
+        algebra = Algebra.from_text(text)
+    except AlgebraFormatError:
+        return
+    # what loads, saves and loads back to the same algebra
+    assert Algebra.from_text(algebra.to_text()).to_text() == algebra.to_text()
+
+
+# -- identities ---------------------------------------------------------------
+
+VARIABLES = ["x", "y", "z", "w"]
+# products and Jacobians of x, y, z and w of total degree at most 5
+FACTORS = st.recursive(
+    st.sampled_from(VARIABLES),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: f"({p[0]})*({p[1]})"),
+        st.tuples(inner, inner, inner).map(lambda p: "J({},{},{})".format(*p)),
+    ),
+    max_leaves=5,
+)
+COEFFS = st.sampled_from(["", "0*", "2*", "1/2*", "-3/4*", "1/0*", "1" * 5000 + "*"])
+SIDES = st.one_of(
+    st.just("0"),
+    st.lists(st.tuples(st.sampled_from(["+", "-"]), COEFFS, FACTORS).map("".join),
+             min_size=1, max_size=3).map(" ".join),
+)
+TOKENS = st.sampled_from(VARIABLES + ["J", "J(", "*", "+", "-", "(", ")", ",", ":", "|",
+                                       "/", "=", "0", "1", "12", "@", "x1", " "])
+WELL_FORMED = st.tuples(
+    st.sampled_from(["t", "J", "_a"]),
+    st.lists(st.sampled_from(VARIABLES + ["J"]), min_size=1, max_size=4).map(",".join),
+    SIDES, SIDES,
+).map(lambda t: "{} : {} | {} = {}".format(*t))
+
+
+@st.composite
+def _edited(draw, sources):
+    """A source with up to two tokens inserted and one span removed."""
+    text = draw(sources)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(TOKENS) + text[at:]
+    if text and draw(st.booleans()):
+        start = draw(st.integers(0, len(text) - 1))
+        text = text[:start] + text[start + draw(st.integers(1, 3)):]
+    return text
+
+
+IDENTITY_TEXTS = st.one_of(
+    WELL_FORMED,
+    _edited(WELL_FORMED),
+    st.lists(TOKENS, max_size=20).map("".join),
+    st.text(max_size=30),
+)
+
+
+@FUZZ
+@given(IDENTITY_TEXTS)
+def test_identity_text_parses_or_raises_the_identity_error(text):
+    try:
+        ident = parse_identity(text)
+    except IdentityError:
+        return
+    # what parses, prints as DSL that parses back to the same identity
+    assert parse_identity(ident.to_dsl()).to_dsl() == ident.to_dsl()
+
+
+# -- the check command --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cross_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cross.alg"
+    cross_product_algebra().save(path)
+    return str(path)
+
+
+def _check(*argv):
+    """(exit code, stdout) of `malcevlab check ARGV...`."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(["check", *argv])
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    return code, out.getvalue()
+
+
+@FUZZ
+@given(st.one_of(IDENTITY_TEXTS, st.sampled_from(["malcev", "nope", "-x", "--jobs", ""])))
+def test_check_command_exits_with_a_contract_code(cross_file, text):
+    code, stdout = _check(cross_file, text)
+    assert code in (0, 1, 2)
+    if code != 2:
+        assert f"status: {'holds' if code == 0 else 'fails'}" in stdout

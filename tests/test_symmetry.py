@@ -169,3 +169,23 @@ def test_tuples_visited_on_the_octonions():
                        "sagle_2_15": 441, "jacobian_shift_6": 441}
     with unbounded():
         assert _visited(algebra, catalog_identity("sagle_2_14")) == 7 ** 4
+
+
+def test_transpositions_are_built_once_per_terms():
+    # a repeat call on equal (not identical) terms reuses the cached result
+    # and relabels no term again
+    relabelled = []
+    swapped = engine._swapped
+
+    def counting(terms, n_vars, a, b):
+        relabelled.append((a, b))
+        return swapped(terms, n_vars, a, b)
+
+    terms, _ = _transpositions_of(catalog_identity("sagle_2_14"))
+    engine._transpositions.cache_clear()
+    with mock.patch.object(engine, "_swapped", counting):
+        first = engine._transpositions(terms, 4)
+        built = len(relabelled)
+        again = engine._transpositions(tuple(list(terms)), 4)
+    assert built == 6 and len(relabelled) == built
+    assert again == first == CATALOG_TRANSPOSITIONS["sagle_2_14"]
