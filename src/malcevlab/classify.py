@@ -1,5 +1,6 @@
 """Classification of anticommutative algebras within the identity
-hierarchy, plus the nilpotency and semiprimeness-witness utilities."""
+hierarchy, plus the semiprimeness witness.  ``is_nilpotent`` lives with the
+filtration it reads in ``subspaces`` and is re-exported here."""
 
 from __future__ import annotations
 
@@ -10,9 +11,9 @@ from .engine import CheckReport, check_identity
 from .identities import builtin_catalog
 from .subspaces import (
     Subspace,
-    filtration,
     full_space,
     ideal_closure,
+    is_nilpotent,
     jacobian_span,
     product_subspace,
 )
@@ -99,18 +100,6 @@ def classify(algebra: Algebra, jobs: int = 1) -> TypeVerdict:
         first_type=malcev and eq4,
         witnesses=witnesses,
     )
-
-
-def is_nilpotent(algebra: Algebra):
-    """(True, c) with A^c = 0 and A^(c-1) != 0, or (False, None).
-
-    The class convention matches the power chain: nilpotent of class c
-    means every product of c factors vanishes.  The class is read from the
-    algebra's cached filtration, whose chain stops as soon as the powers
-    reach zero or stop shrinking.
-    """
-    _, c = filtration(algebra)
-    return c is not None, c
 
 
 def semiprime_witness(algebra: Algebra, jobs: int = 1) -> Subspace | None:

@@ -3,6 +3,10 @@
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse errors.
 Output is deterministic for a given input and seed; `--format
 machine-readable` emits a stable line-oriented `key: value` format.
+
+Each command imports the layers it runs when it runs: start-up loads only
+the algebra file format, so `kernel` never loads the identity engine and
+`check` never loads the constructions or the certification suite.
 """
 
 from __future__ import annotations
@@ -11,22 +15,26 @@ import argparse
 import sys
 
 from .algebra import Algebra, AlgebraFormatError, DimensionMismatch, Element
-from .classify import classify, is_nilpotent
-from .construct import BasisCapExceeded, build_descriptor
-from .engine import check_identity
-from .identities import IdentityError, builtin_catalog, parse_identity
 from .rationals import format_rational, parse_rational
-from .subspaces import lie_kernel, power_chain, stable_powers, subalgebra_generate
-from .verify import render_machine, render_text, run_suite, suite_passed
 
 
 class _UsageError(Exception):
     pass
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for tuple enumeration")
+    parser.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for tuple enumeration")
     parser.add_argument(
         "--format",
         choices=("text", "machine-readable"),
@@ -111,6 +119,8 @@ def _save(algebra: Algebra, path) -> None:
 
 
 def _cmd_build(args) -> int:
+    from .construct import BasisCapExceeded, build_descriptor
+
     try:
         algebra = build_descriptor(args.descriptor)
     except (ValueError, BasisCapExceeded) as exc:
@@ -122,6 +132,8 @@ def _cmd_build(args) -> int:
 
 
 def _resolve_identity(text: str):
+    from .identities import builtin_catalog, parse_identity
+
     if "|" in text:
         return parse_identity(text)
     catalog = builtin_catalog()
@@ -135,6 +147,8 @@ def _resolve_identity(text: str):
 def _cmd_check(args) -> int:
     algebra = _load(args.file)
     ident = _resolve_identity(args.identity)
+    from .engine import check_identity
+
     report = check_identity(algebra, ident, jobs=args.jobs)
     pairs = [
         ("identity", ident.name),
@@ -153,6 +167,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify
+
     algebra = _load(args.file)
     verdict = classify(algebra, jobs=args.jobs)
     pairs = [("algebra", f"{args.file} (dim {algebra.dim})")]
@@ -165,6 +181,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import render_machine, render_text, run_suite, suite_passed
+
     results = run_suite(seed=args.seed, jobs=args.jobs, corrupt_psi=args.corrupt_psi)
     render = render_machine if args.fmt == "machine-readable" else render_text
     sys.stdout.write(render(results, args.seed, args.jobs))
@@ -172,6 +190,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from .subspaces import lie_kernel
+
     algebra = _load(args.file)
     kernel = lie_kernel(algebra)
     pairs = [
@@ -185,6 +205,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_powers(args) -> int:
+    from .subspaces import is_nilpotent, power_chain, stable_powers
+
     algebra = _load(args.file)
     if args.max is None:
         chain = stable_powers(algebra)
@@ -205,7 +227,12 @@ def _parse_element(algebra: Algebra, text: str) -> Element:
     if text in algebra.labels:
         return algebra.basis_element(algebra.labels.index(text))
     if "," in text:
-        coords = [parse_rational(c) for c in text.split(",")]
+        coords = []
+        for part in text.split(","):
+            try:
+                coords.append(parse_rational(part))
+            except ValueError:
+                raise _UsageError(f"element {text!r}: bad coordinate {part!r}") from None
         if len(coords) != algebra.dim:
             raise _UsageError(
                 f"element {text!r} has {len(coords)} coordinates, algebra has dim {algebra.dim}"
@@ -221,6 +248,8 @@ def _parse_element(algebra: Algebra, text: str) -> Element:
 
 
 def _cmd_generate(args) -> int:
+    from .subspaces import subalgebra_generate
+
     algebra = _load(args.file)
     gens = [_parse_element(algebra, text) for text in args.elements]
     subspace, restricted = subalgebra_generate(algebra, gens)
@@ -248,12 +277,20 @@ _COMMANDS = {
 }
 
 
+def _identity_error():
+    # evaluated only when an exception reaches main's handler, so a command
+    # that never parses an identity never loads the identities layer
+    from .identities import IdentityError
+
+    return IdentityError
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (_UsageError, IdentityError, AlgebraFormatError, DimensionMismatch) as exc:
+    except (_UsageError, AlgebraFormatError, DimensionMismatch, _identity_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

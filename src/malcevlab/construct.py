@@ -69,13 +69,20 @@ def free_anticommutative(n_gens: int, nil_class: int, cap: int = DEFAULT_WORD_CA
         raise ValueError("need at least one generator")
     if nil_class < 2:
         raise ValueError("nil_class must be at least 2")
-    predicted = sum(free_dimension(n_gens, nil_class - 1))
+    if n_gens == 1:
+        max_degree = 1  # x1 x1 = 0: the generator spans the algebra at any class
+    else:
+        # degree d has at least 2^(d-2) words, so the words up to degree
+        # cap.bit_length() + 1 already pass the cap: count no further
+        max_degree = min(nil_class - 1, cap.bit_length() + 1)
+    predicted = sum(free_dimension(n_gens, max_degree))
     if predicted > cap:
+        count = predicted if max_degree == nil_class - 1 else f"more than {cap}"
         raise BasisCapExceeded(
             f"free algebra on {n_gens} generators truncated at class {nil_class} "
-            f"has {predicted} basis words (cap {cap})"
+            f"has {count} basis words (cap {cap})"
         )
-    by_deg = words_by_degree(n_gens, nil_class - 1)
+    by_deg = words_by_degree(n_gens, max_degree)
     words = [w for group in by_deg for w in group]
     index = {w: i for i, w in enumerate(words)}
     gen_names = [f"x{i + 1}" for i in range(n_gens)]

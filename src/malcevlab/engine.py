@@ -83,6 +83,7 @@ counterexample, so reports do not depend on the number of jobs.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -381,11 +382,18 @@ def _scan_index(i):
     return _scan(algebra, program, n_vars, (i,), filt, tables)
 
 
+def _pool_size(jobs: int, dim: int) -> int:
+    # a worker takes one first-axis index at a time, and there are dim of
+    # them; more workers than cores only add start-up and switching
+    return min(jobs, os.cpu_count() or 1, dim)
+
+
 def _pool(algebra, program, n_vars, filt, jobs):
     import multiprocessing
 
     return multiprocessing.get_context("fork").Pool(
-        jobs, initializer=_init_worker, initargs=(algebra, program, n_vars, filt)
+        _pool_size(jobs, algebra.dim),
+        initializer=_init_worker, initargs=(algebra, program, n_vars, filt),
     )
 
 

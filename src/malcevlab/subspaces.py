@@ -1,6 +1,6 @@
 """Exact subspace calculus: canonical echelon subspaces, products, powers,
-the Lie kernel, Jacobian spans, ideal closures, quotients, and generated
-subalgebras.
+the nilpotency filtration, the Lie kernel, Jacobian spans, ideal closures,
+quotients, and generated subalgebras.
 
 Subspaces are stored as reduced row echelon matrices over the rationals
 with no zero rows; that form is unique, so two subspaces are equal iff
@@ -357,6 +357,18 @@ def filtration(algebra: Algebra):
     )
     algebra._filtration = (weights, c)
     return algebra._filtration
+
+
+def is_nilpotent(algebra: Algebra):
+    """(True, c) with A^c = 0 and A^(c-1) != 0, or (False, None).
+
+    The class convention matches the power chain: nilpotent of class c
+    means every product of c factors vanishes.  The class is read from the
+    algebra's cached filtration, whose chain stops as soon as the powers
+    reach zero or stop shrinking.
+    """
+    _, c = filtration(algebra)
+    return c is not None, c
 
 
 def lie_kernel(algebra: Algebra) -> Subspace:

@@ -270,3 +270,30 @@ def test_verify_parser_accepts_flags():
     with pytest.raises(SystemExit) as info:
         _build_parser().parse_args(["verify-paper", "--format", "json"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "free", "2", "3"], ["check", "F", "malcev"], ["classify", "F"],
+    ["verify-paper"], ["kernel", "F"], ["powers", "F"], ["generate", "F", "e1"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
+    argv = [str(tmp_path / "missing.alg") if a == "F" else a for a in command]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--jobs", jobs])
+    assert info.value.code == 2
+    assert "error: argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coords, bad", [
+    ("1/0,0,0,0,0,0,0", "'1/0'"),
+    ("x,0,0,0,0,0,0", "'x'"),
+    ("1,,0,0,0,0,0", "''"),
+    ("1" * 5000 + ",0,0,0,0,0,0", "bad coordinate"),
+])
+def test_malformed_coordinate_is_a_usage_error(tmp_path, capsys, coords, bad):
+    src = tmp_path / "o.alg"
+    run_cli(capsys, "build", "zoo", "octonion_malcev", "-o", str(src))
+    code, stdout, stderr = run_cli(capsys, "generate", str(src), coords)
+    assert code == 2 and not stdout
+    assert stderr.startswith("error: element") and bad in stderr

@@ -38,6 +38,18 @@ def test_free_cap_guard_uses_recurrence():
         free_anticommutative(10, 12)
 
 
+def test_free_cap_guard_counts_no_further_than_the_cap_needs():
+    # the class is not bounded by itself: the count stops at the degree
+    # where the cap is passed, and one generator spans a line at any class
+    with pytest.raises(BasisCapExceeded, match="more than 10000 basis words"):
+        free_anticommutative(2, 10 ** 6)
+    with pytest.raises(BasisCapExceeded, match="has 44 basis words"):
+        free_anticommutative(2, 7, cap=40)
+    line = free_anticommutative(1, 2 ** 70)
+    assert line.dim == 1 and line.labels == ["x1"] and line.basis_product(0, 0) == {}
+    assert free_anticommutative(1, 2).to_text() == line.to_text()
+
+
 def test_freeness_no_jacobi(free44):
     j = free44.jacobian(*(free44.basis_element(i) for i in range(3)))
     assert not j.is_zero()

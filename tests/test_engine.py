@@ -1,4 +1,8 @@
+import contextlib
+import multiprocessing
+import os
 import random
+import types
 
 import pytest
 
@@ -191,3 +195,32 @@ def test_degenerate_identities():
     trivial = parse_identity("t : x,y | x*y = x*y")
     report = check_identity(cross, trivial)
     assert report.ok and report.tuples_checked == 9
+
+
+def test_pool_size_is_capped_by_cores_and_first_axis(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+    assert engine._pool_size(100_000, 30) == 4
+    assert engine._pool_size(2, 30) == 2
+    assert engine._pool_size(100_000, 3) == 3
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    assert engine._pool_size(8, 30) == 1
+
+
+def test_a_huge_jobs_value_asks_for_a_capped_pool(force_pool, monkeypatch):
+    sizes = []
+
+    class Context:
+        """multiprocessing's pool protocol, run in this process: no worker starts."""
+
+        def Pool(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+            return contextlib.nullcontext(types.SimpleNamespace(imap=map))
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    monkeypatch.setattr(engine, "_WORKER_STATE", None)
+    oct7 = octonion_malcev()
+    ident = catalog_identity("first_type_4")
+    pooled = check_identity(oct7, ident, jobs=100_000)
+    assert sizes == [min(os.cpu_count() or 1, oct7.dim)]
+    assert _outcome(pooled) == _outcome(check_identity(oct7, ident, jobs=1))

@@ -1,9 +1,11 @@
 """Fuzzing the input paths: the algebra file loader, the identity DSL and
-`malcevlab check`.
+the command line of every command but verify-paper.
 
 Every input either succeeds or ends in the typed error of its layer
-(AlgebraFormatError, IdentityError) or, through the CLI, exit code 2;
-never another exception.  Exit 1 is kept for a check that ran and failed.
+(AlgebraFormatError, IdentityError) or, through the CLI, exit code 2 with
+`error:` on stderr; never another exception.  Exit 1 is kept for a check
+that ran and failed.  The CLI imports each command's layers when it runs,
+so these also cover the error paths of the lazily imported layers.
 """
 
 import io
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from malcevlab import parse_identity
-from malcevlab.construct import cross_product_algebra
+from malcevlab.construct import cross_product_algebra, heisenberg_algebra
 from malcevlab.algebra import MAX_DIM, Algebra, AlgebraFormatError
 from malcevlab.cli import main
 from malcevlab.identities import IdentityError
@@ -118,27 +120,128 @@ def test_identity_text_parses_or_raises_the_identity_error(text):
 
 
 @pytest.fixture(scope="module")
-def cross_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "cross.alg"
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def cross_file(fuzz_dir):
+    path = fuzz_dir / "cross.alg"
     cross_product_algebra().save(path)
     return str(path)
 
 
-def _check(*argv):
-    """(exit code, stdout) of `malcevlab check ARGV...`."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+@pytest.fixture(scope="module")
+def heisenberg_file(fuzz_dir):
+    path = fuzz_dir / "heis.alg"
+    heisenberg_algebra().save(path)
+    return str(path)
+
+
+def _cli(*argv):
+    """(exit code, stdout) of `malcevlab ARGV...`, held to the exit-code
+    contract: 0 or 1, or 2 with an `error:` line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(["check", *argv])
+            code = main(list(argv))
         except SystemExit as exc:  # argparse refuses the command line
             code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error:" in err.getvalue()
     return code, out.getvalue()
 
 
 @FUZZ
 @given(st.one_of(IDENTITY_TEXTS, st.sampled_from(["malcev", "nope", "-x", "--jobs", ""])))
 def test_check_command_exits_with_a_contract_code(cross_file, text):
-    code, stdout = _check(cross_file, text)
-    assert code in (0, 1, 2)
+    code, stdout = _cli("check", cross_file, text)
     if code != 2:
         assert f"status: {'holds' if code == 0 else 'fails'}" in stdout
+
+
+# -- the other commands ---------------------------------------------------------
+
+# flags every command takes, with good and bad values
+FLAGS = st.lists(st.one_of(
+    st.tuples(st.just("--jobs"), st.one_of(NUMBERS, st.sampled_from(["-3", "0", "2"]))),
+    st.tuples(st.just("--seed"), NUMBERS),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "machine-readable", "json", ""])),
+).map(list), max_size=2).map(lambda pairs: [arg for pair in pairs for arg in pair])
+FILES = st.sampled_from(["cross", "heis", "missing", "dir"])
+
+
+@pytest.fixture(scope="module")
+def files(fuzz_dir, cross_file, heisenberg_file):
+    """Algebra file arguments: two small algebras, a missing file, a directory."""
+    return {"cross": cross_file, "heis": heisenberg_file,
+            "missing": str(fuzz_dir / "missing.alg"), "dir": str(fuzz_dir)}
+
+
+DESCRIPTOR_WORDS = st.one_of(
+    INTS.map(str),
+    st.sampled_from(["paper-example", "free", "zoo", "heisenberg", "cross_product",
+                     "nope", "", "x", "1.5", "--jobs"]),
+)
+
+
+@FUZZ
+@given(st.lists(DESCRIPTOR_WORDS, max_size=4), FLAGS)
+def test_build_command_exits_with_a_contract_code(fuzz_dir, words, flags):
+    out = str(fuzz_dir / "built.alg")
+    code, stdout = _cli("build", *words, "-o", out, *flags)
+    assert code != 1  # build runs no check
+    if code == 0:
+        assert f"file: {out}" in stdout
+        Algebra.load(out)
+
+
+@settings(FUZZ, max_examples=60)
+@given(FILES, FLAGS)
+def test_classify_command_exits_with_a_contract_code(files, name, flags):
+    code, stdout = _cli("classify", files[name], *flags)
+    assert code != 1
+    if code == 0:
+        assert "malcev: True" in stdout
+
+
+@FUZZ
+@given(FILES, FLAGS)
+def test_kernel_command_exits_with_a_contract_code(files, name, flags):
+    code, stdout = _cli("kernel", files[name], *flags)
+    assert code != 1
+    if code == 0:
+        assert "kernel-dim: " in stdout
+
+
+# --max values: malformed and small ones.  Large ones are not drawn: the
+# chain is built power by power, so the work grows with --max squared.
+MAXIMA = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["", "x", "1.5", "1/0"]))
+
+
+@FUZZ
+@given(FILES, st.one_of(st.just([]), MAXIMA.map(lambda m: ["--max", m])), FLAGS)
+def test_powers_command_exits_with_a_contract_code(files, name, maximum, flags):
+    code, stdout = _cli("powers", files[name], *maximum, *flags)
+    assert code != 1
+    if code == 0:
+        assert "power.1: 3" in stdout
+
+
+# generators: labels, indices and coordinate vectors of good and bad lengths,
+# with malformed parts (1/0, non-numeric, huge)
+ELEMENTS = st.one_of(
+    st.sampled_from(["e1", "e2", "e3", "p", "q", "z", "nope", ""]),
+    INTS.map(str),
+    st.lists(RATIONALS, min_size=1, max_size=4).map(",".join),
+)
+
+
+@FUZZ
+@given(FILES, st.lists(ELEMENTS, max_size=3), FLAGS)
+def test_generate_command_exits_with_a_contract_code(files, name, elements, flags):
+    code, stdout = _cli("generate", files[name], *elements, *flags)
+    assert code != 1
+    if code == 0:
+        assert "subalgebra-dim: " in stdout
