@@ -22,6 +22,11 @@ class _UsageError(Exception):
     pass
 
 
+# `powers --max K` builds A^2..A^K, and A^k costs about k/2 * dim^2
+# products, so K is capped; a chain that reaches zero stops building there
+MAX_POWERS = 100
+
+
 def _jobs(text: str) -> int:
     try:
         jobs = int(text)
@@ -79,7 +84,8 @@ def _build_parser():
 
     p = sub.add_parser("powers", help="compute the power chain A, A^2, ...")
     p.add_argument("file")
-    p.add_argument("--max", type=int, default=None, help="largest power (default: until stable)")
+    p.add_argument("--max", type=int, default=None,
+                   help=f"largest power, at most {MAX_POWERS} (default: until stable)")
     _common_flags(p)
 
     p = sub.add_parser("generate", help="subalgebra generated by listed elements")
@@ -207,14 +213,20 @@ def _cmd_kernel(args) -> int:
 def _cmd_powers(args) -> int:
     from .subspaces import is_nilpotent, power_chain, stable_powers
 
+    if args.max is not None and args.max > MAX_POWERS:
+        raise _UsageError(f"--max {args.max} is above the cap of {MAX_POWERS} powers")
     algebra = _load(args.file)
-    if args.max is None:
-        chain = stable_powers(algebra)
-    else:
-        chain = power_chain(algebra, max(args.max, 1))
+    chain = stable_powers(algebra)
+    dims = [space.dim for space in chain]
+    if args.max is not None:
+        k = max(args.max, 1)
+        if k > len(chain) and dims[-1]:
+            dims = [space.dim for space in power_chain(algebra, k)]
+        # every power after a zero one is zero: listed without a product
+        dims = dims[:k] + [0] * (k - len(dims))
     pairs = [("algebra", f"{args.file} (dim {algebra.dim})")]
-    for k, space in enumerate(chain, start=1):
-        pairs.append((f"power.{k}", space.dim))
+    for k, dim in enumerate(dims, start=1):
+        pairs.append((f"power.{k}", dim))
     nil, cls = is_nilpotent(algebra)
     pairs.append(("nilpotent", "yes" if nil else "no"))
     if nil:

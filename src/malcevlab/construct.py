@@ -323,26 +323,30 @@ def abelian_algebra(dim: int) -> Algebra:
     return Algebra(dim, None, {}, name=f"abelian_{dim}")
 
 
-def zoo() -> dict:
-    """Named reference algebras, insertion order stable.
+# Named reference algebras, insertion order stable: name -> constructor.
+# Each entry calls its constructor by its module-level name when it runs, so
+# a rebinding of that name (a profiler's wrapper) sees the call.
+#
+# free_3_5 is the smallest free truncation on which the four-variable
+# Malcev-theorem identities are not vacuous (every product of four factors
+# dies in a class-4 truncation), so it is the regression algebra on which
+# they must fail.
+ZOO = {
+    **{f"abelian_{d}": (lambda d=d: abelian_algebra(d)) for d in range(1, 6)},
+    "cross_product": lambda: cross_product_algebra(),
+    "heisenberg": lambda: heisenberg_algebra(),
+    "octonion_malcev": lambda: octonion_malcev(),
+    "second_type_23": lambda: second_type_example(),
+    "quotient_22": lambda: multilinear_base_22(),
+    "free_2_3": lambda: free_anticommutative(2, 3),
+    "free_3_3": lambda: free_anticommutative(3, 3),
+    "free_3_5": lambda: free_anticommutative(3, 5),
+}
 
-    free_3_5 is the smallest free truncation on which the four-variable
-    Malcev-theorem identities are not vacuous (every product of four
-    factors dies in a class-4 truncation), so it is the regression algebra
-    on which they must fail.
-    """
-    out: dict = {}
-    for d in range(1, 6):
-        out[f"abelian_{d}"] = abelian_algebra(d)
-    out["cross_product"] = cross_product_algebra()
-    out["heisenberg"] = heisenberg_algebra()
-    out["octonion_malcev"] = octonion_malcev()
-    out["second_type_23"] = second_type_example()
-    out["quotient_22"] = multilinear_base_22()
-    out["free_2_3"] = free_anticommutative(2, 3)
-    out["free_3_3"] = free_anticommutative(3, 3)
-    out["free_3_5"] = free_anticommutative(3, 5)
-    return out
+
+def zoo() -> dict:
+    """Every reference algebra of ZOO, freshly built, in ZOO's order."""
+    return {name: build() for name, build in ZOO.items()}
 
 
 def build_descriptor(words: list) -> Algebra:
@@ -355,10 +359,10 @@ def build_descriptor(words: list) -> Algebra:
     if kind == "free" and len(words) == 3:
         return free_anticommutative(int(words[1]), int(words[2]))
     if kind == "zoo" and len(words) == 2:
-        animals = zoo()
-        if words[1] not in animals:
-            raise ValueError(f"unknown zoo algebra {words[1]!r}; have: {', '.join(animals)}")
-        return animals[words[1]]
+        build = ZOO.get(words[1])
+        if build is None:
+            raise ValueError(f"unknown zoo algebra {words[1]!r}; have: {', '.join(ZOO)}")
+        return build()
     raise ValueError(
         f"unknown build descriptor {' '.join(words)!r}; "
         "expected 'paper-example', 'free N C', or 'zoo NAME'"

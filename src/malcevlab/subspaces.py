@@ -21,6 +21,10 @@ does not change when a vector is multiplied by a nonzero scalar, so:
 Only coordinates that leave the calculus, a residual of Subspace.reduce
 and the structure constants of a quotient or of a generated subalgebra,
 are divided once by their known scale.
+
+Jacobians come from one kernel (_Jacobians) whose pair products live for
+one call: jacobian_span and lie_kernel form each row-pair product once,
+and a zero pair product skips its second product.
 """
 
 from __future__ import annotations
@@ -243,13 +247,48 @@ def _integral(row) -> dict:
     return _sparse(_integral_list(row)[0])
 
 
-def _jac_sparse(algebra: Algebra, u: dict, v: dict, w: dict) -> dict:
-    mul = algebra.multiply_sparse
-    out = mul(mul(u, v), w)
-    for part in (mul(mul(v, w), u), mul(mul(w, u), v)):
-        if part:  # most parts are zero: skip the call
-            accumulate(out, 1, part.items())
-    return out
+_ZERO: dict = {}  # the stored zero pair product, shared (never mutated)
+
+
+class _Jacobians:
+    """The Jacobian kernel of one call over a list of sparse rows:
+    J(a, b, c) = (r_a r_b) r_c + (r_b r_c) r_a + (r_c r_a) r_b for row
+    indices a, b, c.
+
+    The three first products are read from a table keyed by row-index pair
+    that lives as long as the kernel.  Each pair product is formed once, by
+    first(x, y) with x < y (default: the product of rows x and y), and
+    r_y r_x = -(r_x r_y) is read from the same entry.  Most pair products
+    of a nilpotent algebra are zero, and a zero one skips its second
+    product.
+    """
+
+    __slots__ = ("rows", "mul", "first", "n", "pairs")
+
+    def __init__(self, model: Algebra, rows: list, first=None):
+        self.rows = rows
+        self.mul = model.multiply_sparse
+        self.first = first or (lambda x, y: self.mul(rows[x], rows[y]))
+        self.n = len(rows)
+        self.pairs: dict = {}
+
+    def pair(self, x: int, y: int) -> dict:
+        """r_x r_y for x < y, else r_y r_x, from the table (do not mutate)."""
+        if x > y:
+            x, y = y, x
+        p = self.pairs.get(x * self.n + y)
+        if p is None:
+            p = self.pairs[x * self.n + y] = (x != y and self.first(x, y)) or _ZERO
+        return p
+
+    def __call__(self, a: int, b: int, c: int) -> dict:
+        out: dict = {}
+        rows, mul, pair = self.rows, self.mul, self.pair
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            p = pair(x, y)
+            if p:
+                accumulate(out, 1 if x < y else -1, mul(p, rows[z]).items())
+        return out
 
 
 def _dense(vec: dict, width) -> list:
@@ -377,7 +416,9 @@ def lie_kernel(algebra: Algebra) -> Subspace:
 
     J is alternating in an anticommutative algebra, so J(e_i, e_j, e_k) is
     computed once per unordered triple a < b < c and read with the sign of
-    the permutation that sorts (i, j, k).  The pairs (j, k) run in
+    the permutation that sorts (i, j, k).  Its first products e_a e_b are
+    structure-constant lookups, each read once per call, and a zero one
+    skips its second product.  The pairs (j, k) run in
     lexicographic order, so the triple's three uses come at the pairs
     (a, b), (a, c) and (b, c), in that order: it is computed at the first,
     when the early exit has not yet been taken, and dropped at the last.
@@ -386,7 +427,7 @@ def lie_kernel(algebra: Algebra) -> Subspace:
     # each J in the model is D^2 times the J here: the same constraints
     model = algebra.integral_model()[0]
     constraints = _Echelon(dim)
-    basis = [{i: 1} for i in range(dim)]
+    jac = _Jacobians(model, [{i: 1} for i in range(dim)], model.basis_product)
     jacobians: dict = {}  # (a, b, c) -> J(e_a, e_b, e_c), between its first and last use
     for j in range(dim):
         for k in range(j + 1, dim):
@@ -396,7 +437,7 @@ def lie_kernel(algebra: Algebra) -> Subspace:
                     continue  # J with a repeated argument vanishes
                 if i > k:
                     sign = 1
-                    vec = jacobians[(j, k, i)] = _jac_sparse(model, basis[j], basis[k], basis[i])
+                    vec = jacobians[(j, k, i)] = jac(j, k, i)
                 elif i > j:
                     sign, vec = -1, jacobians[(j, i, k)]
                 else:
@@ -430,26 +471,54 @@ def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
 
 def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_space: Subspace) -> Subspace:
     """Span of J(u, v, w) over spanning-row triples (sufficient by
-    multilinearity)."""
-    for s in (u_space, v_space, w_space):
+    multilinearity).
+
+    Each row-pair product is computed once per call (an equal space shares
+    its rows), and a zero one skips its second product.  A triple whose
+    three pair products are all zero has J = 0, so for a pair (u, v) with
+    uv = 0 only the w with vw or wu nonzero are visited.
+    """
+    spaces = (u_space, v_space, w_space)
+    for s in spaces:
         if s.ambient_dim != algebra.dim:
             raise DimensionMismatch()
-    model = algebra.integral_model()[0]
+    # one row list for the call; an equal space shares its rows, so a pair
+    # product met through either space is formed once
+    starts: dict = {}
+    rows: list = []
+    for s in spaces:
+        if s not in starts:
+            starts[s] = len(rows)
+            rows.extend(_integral(r) for r in s.rows)
+    ou, ov, ow = (starts[s] for s in spaces)
+    nw = w_space.dim
+    jac = _Jacobians(algebra.integral_model()[0], rows)
+    partners: dict = {}  # row x -> the c with r_x r_(ow+c) != 0
+
+    def partners_of(x):
+        found = partners.get(x)
+        if found is None:
+            found = partners[x] = {c for c in range(nw) if jac.pair(x, ow + c)}
+        return found
+
     ech = _Echelon(algebra.dim)
-    us = [_integral(r) for r in u_space.rows]
-    vs = [_integral(r) for r in v_space.rows]
-    ws = [_integral(r) for r in w_space.rows]
     # J is alternating: where two spaces are equal, only strictly
     # increasing row pairs across them are needed (a repeated row gives 0,
     # a swapped pair the negative)
     same_uv, same_vw, same_uw = u_space == v_space, v_space == w_space, u_space == w_space
-    for a, u in enumerate(us):
-        for b in range(a + 1 if same_uv else 0, len(vs)):
+    for a in range(u_space.dim):
+        for b in range(a + 1 if same_uv else 0, v_space.dim):
             first = max(b + 1 if same_vw else 0, a + 1 if same_uw else 0)
-            for w in ws[first:]:
-                jac = _jac_sparse(model, u, vs[b], w)
-                if jac:
-                    ech.insert(_dense(jac, algebra.dim))
+            if first >= nw:
+                continue
+            if jac.pair(ou + a, ov + b):
+                cs = range(first, nw)
+            else:  # J(a, b, c) = 0 unless r_b r_c or r_c r_a is nonzero
+                cs = sorted(c for c in partners_of(ov + b) | partners_of(ou + a) if c >= first)
+            for c in cs:
+                vec = jac(ou + a, ov + b, ow + c)
+                if vec:
+                    ech.insert(_dense(vec, algebra.dim))
     return ech.subspace()
 
 

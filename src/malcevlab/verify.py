@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import Algebra
 from .classify import is_nilpotent, semiprime_witness
 from .construct import (
     SECOND_TYPE_PSI_ENTRIES,
+    ZOO,
     second_type_example,
-    zoo,
 )
 from .engine import (
     CheckReport,
@@ -69,13 +70,16 @@ class _Session:
         self.seed = seed
         self.jobs = jobs
         self.catalog = builtin_catalog()
-        self.zoo = zoo()
-        if corrupt_psi:
-            self.zoo["second_type_23"] = second_type_example(corrupted_psi_entries())
-            self.zoo["second_type_23"].name = "second_type_23"
-        self.example = self.zoo["second_type_23"]
+        self.example = second_type_example(corrupted_psi_entries() if corrupt_psi else None)
         self._reports: dict = {}
         self._structure: dict = {}
+
+    @cached_property
+    def zoo(self) -> dict:
+        """The reference algebras, built on first use; second_type_23 is
+        the session's example."""
+        return {name: self.example if name == "second_type_23" else build()
+                for name, build in ZOO.items()}
 
     def report(self, algebra: Algebra, identity_name: str) -> CheckReport:
         key = (algebra.name, identity_name)

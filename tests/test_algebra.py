@@ -16,7 +16,7 @@ from malcevlab import (
 from malcevlab.algebra import MAX_DIM, accumulate
 from malcevlab.classify import anticommutative_sweep
 from malcevlab.construct import cross_product_algebra, octonion_malcev
-from malcevlab.subspaces import _jac_sparse
+from malcevlab.subspaces import _Jacobians
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -140,7 +140,7 @@ def test_sparse_core_never_stores_zero(animals, name, data):
         assert k not in algebra.multiply_sparse(forced, v)
     # J(u, v, u + w) = J(u, v, w): the (uv)u and (vu)u parts cancel in the sum
     for z in (w, accumulate(dict(u), 1, w.items())):
-        jac = _jac_sparse(algebra, u, v, z)
+        jac = _Jacobians(algebra, [u, v, z])(0, 1, 2)
         assert all(jac.values())
         dense = [_dense(algebra, x) for x in (u, v, z)]
         assert _dense(algebra, jac) == algebra.jacobian(*dense)

@@ -4,7 +4,7 @@ import pytest
 
 from malcevlab import classify
 from malcevlab.algebra import Algebra
-from malcevlab.cli import main
+from malcevlab.cli import MAX_POWERS, main
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,29 @@ def test_powers_trims_when_stable(tmp_path, capsys):
     assert "power.1: 3" in stdout and "power.2: 3" in stdout
     assert "power.3" not in stdout  # stabilized
     assert "nilpotent: no" in stdout
+
+
+def test_powers_max_stops_building_at_zero_and_is_capped(tmp_path, capsys):
+    out = tmp_path / "heis.alg"
+    run_cli(capsys, "build", "zoo", "heisenberg", "-o", str(out))
+    calls = []
+    original = Algebra.multiply_sparse
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    with mock.patch.object(Algebra, "multiply_sparse", counted):
+        code, stdout, _ = run_cli(capsys, "powers", str(out), "--max", str(MAX_POWERS))
+    assert code == 0
+    # A^3 = 0 ends the chain (A^2 = A A: 3 * 3 products, A^3 = A A^2:
+    # 3 * 1): the later powers are listed, not built
+    assert len(calls) == 3 * 3 + 3 * 1
+    assert "power.2: 1" in stdout and "power.3: 0" in stdout
+    assert f"power.{MAX_POWERS}: 0" in stdout and f"power.{MAX_POWERS + 1}" not in stdout
+    code, stdout, stderr = run_cli(capsys, "powers", str(out), "--max", str(MAX_POWERS + 1))
+    assert code == 2 and not stdout
+    assert stderr.startswith("error:") and str(MAX_POWERS) in stderr
 
 
 def test_generate_by_labels_and_coords(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from malcevlab import construct
 from malcevlab import (
     BasisCapExceeded,
     SECOND_TYPE_PSI_ENTRIES,
@@ -14,7 +15,12 @@ from malcevlab import (
     zoo,
 )
 from malcevlab.algebra import BilinearForm
-from malcevlab.construct import _check_alternative, _octonion_table
+from malcevlab.construct import (
+    _check_alternative,
+    _octonion_table,
+    build_descriptor,
+    heisenberg_algebra,
+)
 
 
 def test_free_dimensions():
@@ -266,3 +272,28 @@ def test_example_is_fresh_each_time():
     b = second_type_example()
     assert a is not b
     assert a.table == b.table
+
+
+def test_build_zoo_name_builds_only_that_algebra(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("built an algebra that was not asked for")
+
+    for name in ("abelian_algebra", "cross_product_algebra", "octonion_malcev",
+                 "second_type_example", "multilinear_base_22", "free_anticommutative"):
+        monkeypatch.setattr(construct, name, unexpected)
+    assert build_descriptor(["zoo", "heisenberg"]).table == heisenberg_algebra().table
+    with pytest.raises(ValueError, match=f"have: {', '.join(construct.ZOO)}$"):
+        build_descriptor(["zoo", "nope"])
+    assert list(construct.ZOO)[-1] == "free_3_5"
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_session_builds_its_zoo_on_first_use(corrupt):
+    from malcevlab.verify import _Session
+
+    session = _Session(0, 1, corrupt)
+    assert "zoo" not in vars(session)
+    animals = session.zoo
+    assert animals["second_type_23"] is session.example
+    assert list(animals) == list(construct.ZOO)
+    assert session.zoo is animals

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from malcevlab import parse_identity
 from malcevlab.construct import cross_product_algebra, heisenberg_algebra
 from malcevlab.algebra import MAX_DIM, Algebra, AlgebraFormatError
-from malcevlab.cli import main
+from malcevlab.cli import MAX_POWERS, main
 from malcevlab.identities import IdentityError
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -217,7 +217,12 @@ def test_kernel_command_exits_with_a_contract_code(files, name, flags):
 
 # --max values: malformed and small ones.  Large ones are not drawn: the
 # chain is built power by power, so the work grows with --max squared.
-MAXIMA = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["", "x", "1.5", "1/0"]))
+# across the cap, but never a large K that runs: values above it are rejected
+MAXIMA = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from([MAX_POWERS + 1, 10 ** 6, 2 ** 70]).map(str),
+    st.sampled_from(["", "x", "1.5", "1/0"]),
+)
 
 
 @FUZZ

@@ -182,11 +182,15 @@ def test_lie_kernel_matches_sympy_nullspace(atilde):
 
 def _zoo_algebra(animals, name):
     """A zoo algebra; 'NAME@rebased' is NAME in the basis f_i = e_i +-
-    e_(i-1)/2, the rational_rebased pattern, which mixes the grading."""
+    e_(i-1)/2, the rational_rebased pattern, which mixes the grading;
+    'NAME@halved' is NAME in the basis f_i = e_i/2, which keeps it sparse."""
     base, _, rebased = name.partition("@")
     algebra = animals[base]
     if not rebased:
         return algebra
+    if rebased == "halved":
+        halves = [[HALF if i == j else 0 for j in range(algebra.dim)] for i in range(algebra.dim)]
+        return Rebased(algebra, halves).algebra
     pattern = tuple((i + 1, i) for i in range(algebra.dim - 1))
     return Rebased(algebra, seeded_basis(algebra.dim, pattern, HALF, random.Random(name))).algebra
 
@@ -429,12 +433,54 @@ def test_jacobian_span_alternation_on_the_power_chain(atilde):
         assert jacobian_span(atilde, *spaces) == _ordered_jacobian_span(atilde, *spaces), (i, j, k)
 
 
+# the five equality patterns of (U, V, W), as indices into the distinct spaces
+EQUALITY_PATTERNS = [(0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 1, 0), (0, 0, 0)]
+_REBASED: dict = {}
+
+
+@st.composite
+def sparse_spans(draw, algebra):
+    """Spans of up to three sparse elements: on a nilpotent algebra most of
+    their pair products are zero."""
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    gens = draw(st.lists(
+        st.dictionaries(st.integers(0, algebra.dim - 1), coeff, min_size=1, max_size=3),
+        max_size=3))
+    return span(algebra, [algebra._from_sparse(g) for g in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["octonion_malcev@rebased", "quotient_22@rebased", "quotient_22@halved"]),
+       pattern=st.sampled_from(EQUALITY_PATTERNS), data=st.data())
+def test_jacobian_span_alternation_on_rebased_spans(animals, name, pattern, data):
+    if name not in _REBASED:
+        _REBASED[name] = _zoo_algebra(animals, name)
+    algebra = _REBASED[name]
+    assert algebra.integral_model()[1] > 1  # products run in the integral model
+    distinct = [data.draw(sparse_spans(algebra)) for _ in range(max(pattern) + 1)]
+    spaces = [distinct[t] for t in pattern]
+    assert jacobian_span(algebra, *spaces) == _ordered_jacobian_span(algebra, *spaces)
+
+
+def test_jacobian_span_from_the_third_pair_alone():
+    # e1 e3 = e4 and e4 e2 = e5: J(e1, e2, e3) = (e3 e1) e2 = -e5 is the
+    # only nonzero J, and of its three pairs only (e3, e1) has a product
+    algebra = Algebra(5, None, {(0, 2): {3: 1}, (1, 3): {4: -1}})
+    full = full_space(algebra)
+    assert jacobian_span(algebra, full, full, full) == span(algebra, [algebra.basis_element(4)])
+    for spaces in [(full, full, full), (full, span(algebra, algebra.basis()[1:2]), full)]:
+        assert jacobian_span(algebra, *spaces) == _ordered_jacobian_span(algebra, *spaces)
+
+
 def test_product_counts():
     at = second_type_example()
     full = full_space(at)
-    # one J (six products) per unordered triple of basis rows
-    assert _count_products(jacobian_span, at, full, full, full) == 6 * comb(23, 3)
-    assert _count_products(lie_kernel, at) <= 6 * comb(23, 3)
+    # each pair product once, and one second product per nonzero pair and
+    # third row; the kernel reads e_a e_b from the structure constants
+    nonzero_pairs = len(at.table)
+    assert nonzero_pairs == 27
+    assert _count_products(jacobian_span, at, full, full, full) == comb(23, 2) + 21 * nonzero_pairs
+    assert _count_products(lie_kernel, at) == 21 * nonzero_pairs
     # rational_rebased's 16 triples: the closure's last pass makes the table
     rebased = Rebased(at, seeded_basis(at.dim, STRUCTURE_PATTERN, HALF, random.Random(3)))
     rng = random.Random(TRIPLE_SEED)
