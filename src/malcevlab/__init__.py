@@ -40,8 +40,8 @@ _EXPORTS = {
         "parse_identity", "parse_map",
     ),
     "subspaces": (
-        "NotAnIdealError", "Subspace", "full_space", "ideal_closure", "is_nilpotent",
-        "jacobian_span", "lie_kernel", "power_chain", "product_subspace",
+        "NotAnIdealError", "Subspace", "UnsettledChainError", "full_space", "ideal_closure",
+        "is_nilpotent", "jacobian_span", "lie_kernel", "power_chain", "product_subspace",
         "quotient_algebra", "span", "subalgebra_generate",
     ),
     "verify": ("run_suite", "suite_passed"),

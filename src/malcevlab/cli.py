@@ -22,8 +22,8 @@ class _UsageError(Exception):
     pass
 
 
-# `powers --max K` builds A^2..A^K, and A^k costs about k/2 * dim^2
-# products, so K is capped; a chain that reaches zero stops building there
+# the largest `powers --max K`; no product is formed past the power chain's
+# settled end, which the chain itself reaches within subspaces.MAX_CHAIN
 MAX_POWERS = 100
 
 
@@ -180,8 +180,7 @@ def _cmd_classify(args) -> int:
     pairs = [("algebra", f"{args.file} (dim {algebra.dim})")]
     pairs.extend(verdict.summary())
     for name, cx in sorted(verdict.witnesses.items()):
-        labels = ", ".join(algebra.labels[i] for i in cx.indices)
-        pairs.append((f"witness.{name}", f"({labels}) -> {algebra.format_element(cx.residual)}"))
+        pairs.append((f"witness.{name}", cx.describe(algebra)))
     _emit(pairs)
     return 0
 
@@ -211,23 +210,19 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_powers(args) -> int:
-    from .subspaces import is_nilpotent, power_chain, stable_powers
+    from .subspaces import UnsettledChainError, is_nilpotent, power_chain, stable_powers
 
     if args.max is not None and args.max > MAX_POWERS:
         raise _UsageError(f"--max {args.max} is above the cap of {MAX_POWERS} powers")
     algebra = _load(args.file)
-    chain = stable_powers(algebra)
-    dims = [space.dim for space in chain]
-    if args.max is not None:
-        k = max(args.max, 1)
-        if k > len(chain) and dims[-1]:
-            dims = [space.dim for space in power_chain(algebra, k)]
-        # every power after a zero one is zero: listed without a product
-        dims = dims[:k] + [0] * (k - len(dims))
+    try:
+        chain = stable_powers(algebra) if args.max is None else power_chain(algebra, max(args.max, 1))
+        nil, cls = is_nilpotent(algebra)
+    except UnsettledChainError as exc:
+        raise _UsageError(str(exc)) from exc
     pairs = [("algebra", f"{args.file} (dim {algebra.dim})")]
-    for k, dim in enumerate(dims, start=1):
-        pairs.append((f"power.{k}", dim))
-    nil, cls = is_nilpotent(algebra)
+    for k, space in enumerate(chain, start=1):
+        pairs.append((f"power.{k}", space.dim))
     pairs.append(("nilpotent", "yes" if nil else "no"))
     if nil:
         pairs.append(("class", cls))

@@ -268,7 +268,8 @@ class _Parser:
 
     def parse_coeff(self) -> Rational:
         kind, value, pos = self.next()
-        assert kind == "int"
+        if kind != "int":
+            raise IdentityParseError(f"expected an integer coefficient, found {value!r}", pos)
         num = value
         kind2, value2, _ = self.peek()
         if kind2 == "sym" and value2 == "/":

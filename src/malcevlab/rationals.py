@@ -7,8 +7,8 @@ of magnitude faster.  The hot loops never see a Fraction: they multiply in
 an algebra's integral model (``Algebra.integral_model``), with integral
 coefficients and rows, and divide once where a value leaves them.  Echelon
 elimination in ``subspaces`` runs over primitive int rows by
-cross-multiplication; a Subspace's canonical rows are formed by one
-division per row.
+cross-multiplication, and a Subspace keeps those rows; its canonical
+Fraction rows are formed only when read, by one division per row.
 """
 
 from __future__ import annotations

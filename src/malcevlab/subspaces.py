@@ -2,26 +2,26 @@
 the nilpotency filtration, the Lie kernel, Jacobian spans, ideal closures,
 quotients, and generated subalgebras.
 
-Subspaces are stored as reduced row echelon matrices over the rationals
-with no zero rows; that form is unique, so two subspaces are equal iff
-their matrices are identical.
+A subspace is stored as its reduced row echelon form with no zero rows,
+each row scaled to a primitive int vector with a positive pivot; that form
+is unique, so two subspaces are equal iff their rows are identical.
 
 Nothing in the calculus forms a Fraction until a value leaves it.  A span
 does not change when a vector is multiplied by a nonzero scalar, so:
 
-- the echelon accumulator (_Echelon) keeps each row as a primitive int
-  vector, the canonical row times a positive scalar, and eliminates by
-  cross-multiplication; Subspace gets its rows by one division per row;
+- the echelon accumulator (_Echelon) eliminates by cross-multiplication
+  over those int rows, and a Subspace is its frozen view: it keeps the
+  rows as they are and divides each by its pivot only when its canonical
+  Fraction rows (Subspace.rows) are read;
 - products run in the algebra's integral model A_D
-  (Algebra.integral_model): each echelon row enters a product as its
-  integral form (the row times the lcm of its denominators, which an
-  echelon row holds at its pivot) and the products in A_D span what the
-  products in the algebra span.
+  (Algebra.integral_model) on the stored int rows, and the products in A_D
+  span what the products in the algebra span.
 
 Only coordinates that leave the calculus, a residual of Subspace.reduce
 and the structure constants of a quotient or of a generated subalgebra,
 are divided once by their known scale.
 
+The power chain is built once per algebra, to where it provably settles.
 Jacobians come from one kernel (_Jacobians) whose pair products live for
 one call: jacobian_span and lie_kernel form each row-pair product once,
 and a zero pair product skips its second product.
@@ -59,13 +59,13 @@ class _Echelon:
     rows of one span are unique.  Scaling a vector keeps its span, so a
     vector enters as its integral form and is eliminated by
     cross-multiplication, vec <- a*vec - c*row with a = row[p] and c =
-    vec[p] divided by gcd(a, c); no Fraction is formed until subspace()
-    divides each row by its pivot, once.
+    vec[p] divided by gcd(a, c).  Rows may be lists or tuples; elimination
+    replaces a row and never mutates one.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list] = []       # sorted by pivot column
+        self.rows: list = []  # sorted by pivot column
         self.pivots: list[int] = []
 
     def _reduce(self, vec) -> tuple:
@@ -118,15 +118,11 @@ class _Echelon:
         return True
 
     def subspace(self) -> "Subspace":
-        return Subspace._make(
-            self.width,
-            tuple(
-                tuple(row) if row[p] == 1
-                else tuple(normalize(Fraction(c, row[p])) if c else 0 for c in row)
-                for row, p in zip(self.rows, self.pivots)
-            ),
-            tuple(self.pivots),
-        )
+        space = object.__new__(Subspace)
+        space.ambient_dim = self.width
+        space._rows = tuple(map(tuple, self.rows))
+        space.pivots = tuple(self.pivots)
+        return space
 
 
 _INT = frozenset((int,))
@@ -159,38 +155,39 @@ def _primitive(vec: list):
 
 
 class Subspace:
-    """Canonical echelon-form subspace of Q^ambient_dim."""
+    """Canonical subspace of Q^ambient_dim, the frozen view of an _Echelon:
+    its primitive int rows (_rows, unique per span, so == and hash compare
+    them) and pivots.  rows divides each by its pivot when read: the RREF."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "_rows", "pivots")
 
-    def __init__(self, ambient_dim: int, vectors=()):
+    def __new__(cls, ambient_dim: int, vectors=()):
         ech = _Echelon(ambient_dim)
         for v in vectors:
             ech.insert(_as_coords(v, ambient_dim))
-        built = ech.subspace()
-        self.ambient_dim = ambient_dim
-        self.rows = built.rows
-        self.pivots = built.pivots
+        return ech.subspace()
 
-    @classmethod
-    def _make(cls, ambient_dim, rows, pivots) -> "Subspace":
-        self = object.__new__(cls)
-        self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
-        return self
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, then restore the slots
+        return (self.ambient_dim,)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(
+            r if r[p] == 1 else tuple(normalize(Fraction(c, r[p])) if c else 0 for c in r)
+            for r, p in zip(self._rows, self.pivots)
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._rows
 
     def _echelon(self) -> _Echelon:
-        # a canonical row times its denominators' lcm is its echelon row
         ech = _Echelon(self.ambient_dim)
-        ech.rows = [_integral_list(r)[0] for r in self.rows]
+        ech.rows = list(self._rows)
         ech.pivots = list(self.pivots)
         return ech
 
@@ -204,13 +201,13 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch()
         ech = self._echelon()
-        return all(not any(ech._reduce(r)[0]) for r in other.rows)
+        return all(not any(ech._reduce(r)[0]) for r in other._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch()
         ech = self._echelon()
-        for r in other.rows:
+        for r in other._rows:
             ech.insert(r)
         return ech.subspace()
 
@@ -221,11 +218,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -240,11 +237,6 @@ def _as_coords(vec, width) -> list:
 
 def _sparse(row) -> dict:
     return {i: c for i, c in enumerate(row) if c}
-
-
-def _integral(row) -> dict:
-    """The row times the lcm of its denominators, as a sparse dict of ints."""
-    return _sparse(_integral_list(row)[0])
 
 
 _ZERO: dict = {}  # the stored zero pair product, shared (never mutated)
@@ -314,8 +306,8 @@ def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subsp
         raise DimensionMismatch()
     model = algebra.integral_model()[0]
     ech = _Echelon(algebra.dim)
-    lrows = [_integral(r) for r in left.rows]
-    rrows = [_integral(r) for r in right.rows]
+    lrows = [_sparse(r) for r in left._rows]
+    rrows = [_sparse(r) for r in right._rows]
     for u in lrows:
         for v in rrows:
             prod = model.multiply_sparse(u, v)
@@ -324,22 +316,48 @@ def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subsp
     return ech.subspace()
 
 
-def _powers(algebra: Algebra, k: int) -> tuple:
-    """The algebra's power chain (A^1, A^2, ...), built to at least k powers.
+# the power chain is built to at most this many powers: a plateau can last
+# exponentially long in dim (e_k e_(k+1) = e_(k+2) on 12 basis vectors is
+# nilpotent of class 145)
+MAX_CHAIN = 100
 
-    There is one chain per algebra, cached on it (the algebra is
-    immutable) and extended only as far as a caller asks, each power from
-    the ones before it, so no power is built twice.  The cache is replaced
-    by a longer tuple, never mutated, so a concurrent reader sees a valid
-    prefix.  The chain may be longer than k; callers slice it.
+
+class UnsettledChainError(ValueError):
+    """No zero or settled power within MAX_CHAIN: no class, no later powers."""
+
+    def __init__(self):
+        super().__init__(f"the power chain does not settle within {MAX_CHAIN} powers")
+
+
+def _settled(chain) -> bool:
+    """Whether every power after the chain's last equals it (stable_powers)."""
+    m = len(chain)
+    return chain[-1].is_zero() or (m > 1 and chain[-1] == chain[m // 2 - 1])
+
+
+def stable_powers(algebra: Algebra) -> tuple:
+    """(A^1, ..., A^m), A^k the sum of A^i A^j over i + j = k (all
+    association patterns), ending at the first power that is zero or
+    equals A^(m//2); every later power equals A^m.
+
+    The chain descends, so A^m = A^(m//2) gives A^j = A^(j+1) for every j
+    in [m//2, m-1].  Every A^i A^j with i + j = m and i <= j has its larger
+    index j in that range, so A^i A^j = A^i A^(j+1) lies in A^(m+1): then
+    A^(m+1) = A^m, and the rule holds again at m+1.  A repeated power alone
+    does not settle the chain: dim 5 with e1e2 = -e4, e1e3 = e2 and e2e4 =
+    -e0 has power dimensions 5, 3, 2, 1, 1, 0.
+
+    The chain is built once and cached on the algebra (which is
+    immutable); it also ends, unsettled, at MAX_CHAIN powers.
     """
     cached = getattr(algebra, "_power_chain", None)
-    if cached is None:
-        full = full_space(algebra)
-        cached = algebra._power_chain = ((full,), ([_integral(r) for r in full.rows],))
-    chain, rows = cached  # rows[i]: the integral rows of chain[i]
+    if cached is not None:
+        return cached
     mul = algebra.integral_model()[0].multiply_sparse
-    while len(chain) < k:
+    chain = [full_space(algebra)]
+    rows = []  # rows[i]: the sparse int rows of chain[i]
+    while not _settled(chain) and len(chain) < MAX_CHAIN:
+        rows.append([_sparse(r) for r in chain[-1]._rows])
         n = len(chain) + 1
         ech = _Echelon(algebra.dim)
         for i in range(1, n // 2 + 1):
@@ -348,43 +366,34 @@ def _powers(algebra: Algebra, k: int) -> tuple:
                     prod = mul(u, v)
                     if prod:
                         ech.insert(_dense(prod, algebra.dim))
-        chain += (ech.subspace(),)
-        rows += ([_sparse(r) for r in ech.rows],)
-        algebra._power_chain = (chain, rows)
-    return chain
+        chain.append(ech.subspace())
+    algebra._power_chain = tuple(chain)
+    return algebra._power_chain
 
 
 def power_chain(algebra: Algebra, k_max: int) -> list:
-    """[A^1, ..., A^k_max] with A^k = sum of A^i A^j over i + j = k
-    (all association patterns); the chain is descending."""
+    """[A^1, ..., A^k_max], sliced from stable_powers.
+
+    Past the chain's settled end its last power (zero or a settled
+    plateau) repeats, and no product is formed.  A power past a chain that
+    did not settle within MAX_CHAIN powers raises UnsettledChainError.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return list(_powers(algebra, k_max)[:k_max])
-
-
-def stable_powers(algebra: Algebra) -> tuple:
-    """(A^1, A^2, ..., A^m), ending at the first power that is zero or
-    equals the one before it.
-
-    The chain strictly descends before that point, so m <= dim + 1.  It is
-    read from the one cached chain that power_chain reads too.
-    """
-    m = 1
-    while True:
-        chain = _powers(algebra, m)
-        if chain[m - 1].is_zero() or (m > 1 and chain[m - 1] == chain[m - 2]):
-            return chain[:m]
-        m += 1
+    chain = stable_powers(algebra)
+    if k_max > len(chain) and not _settled(chain):
+        raise UnsettledChainError()
+    return list(chain[:k_max]) + [chain[-1]] * (k_max - len(chain))
 
 
 def filtration(algebra: Algebra):
     """(weights, c): weights[i] = max{k : e_i in A^k}, and c the nilpotency
-    class (A^c = 0, A^(c-1) != 0), or None when the power chain stops
-    shrinking at a nonzero power.
+    class (A^c = 0, A^(c-1) != 0), or None when the power chain settles at
+    a nonzero power or does not settle within MAX_CHAIN powers.
 
     Since A^a A^b lies in A^(a+b), a product tree of basis elements whose
-    weights sum to c or more is exactly zero.  Both are read from
-    stable_powers and cached on the algebra.
+    weights sum to c or more is exactly zero; without a class nothing is
+    skipped.  Both are read from stable_powers and cached on the algebra.
     """
     cached = getattr(algebra, "_filtration", None)
     if cached is not None:
@@ -399,58 +408,47 @@ def filtration(algebra: Algebra):
 
 
 def is_nilpotent(algebra: Algebra):
-    """(True, c) with A^c = 0 and A^(c-1) != 0, or (False, None).
+    """(True, c) with A^c = 0 and A^(c-1) != 0, or (False, None) when the
+    power chain settles at a nonzero power.
 
     The class convention matches the power chain: nilpotent of class c
     means every product of c factors vanishes.  The class is read from the
-    algebra's cached filtration, whose chain stops as soon as the powers
-    reach zero or stop shrinking.
+    algebra's cached filtration.  A chain that does not settle within
+    MAX_CHAIN powers raises UnsettledChainError.
     """
     _, c = filtration(algebra)
+    if c is None and not _settled(stable_powers(algebra)):
+        raise UnsettledChainError()
     return c is not None, c
 
 
 def lie_kernel(algebra: Algebra) -> Subspace:
-    """N(A) = {x : J(x, A, A) = 0}, solved as an exact linear system over
-    all basis pairs.
+    """N(A) = {x : J(x, A, A) = 0}, solved as an exact linear system with
+    one constraint row per basis pair j < k and coordinate t:
+    sum_i x_i J(e_i, e_j, e_k)[t] = 0.
 
-    J is alternating in an anticommutative algebra, so J(e_i, e_j, e_k) is
-    computed once per unordered triple a < b < c and read with the sign of
-    the permutation that sorts (i, j, k).  Its first products e_a e_b are
-    structure-constant lookups, each read once per call, and a zero one
-    skips its second product.  The pairs (j, k) run in
-    lexicographic order, so the triple's three uses come at the pairs
-    (a, b), (a, c) and (b, c), in that order: it is computed at the first,
-    when the early exit has not yet been taken, and dropped at the last.
+    J is alternating in an anticommutative algebra, so one pass over the
+    triples a < b < c computes each J(e_a, e_b, e_c) once and scatters it,
+    with the sign of the permutation, into column a of the rows of pair
+    (b, c), column b of pair (a, c) (negated) and column c of pair (a, b).
+    Its first products e_a e_b are structure-constant lookups, each read
+    once per call, and a zero one skips its second product.
     """
     dim = algebra.dim
     # each J in the model is D^2 times the J here: the same constraints
     model = algebra.integral_model()[0]
-    constraints = _Echelon(dim)
     jac = _Jacobians(model, [{i: 1} for i in range(dim)], model.basis_product)
-    jacobians: dict = {}  # (a, b, c) -> J(e_a, e_b, e_c), between its first and last use
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            columns: dict = {}
-            for i in range(dim):
-                if i == j or i == k:
-                    continue  # J with a repeated argument vanishes
-                if i > k:
-                    sign = 1
-                    vec = jacobians[(j, k, i)] = jac(j, k, i)
-                elif i > j:
-                    sign, vec = -1, jacobians[(j, i, k)]
-                else:
-                    sign, vec = 1, jacobians.pop((i, j, k))
-                for c, val in vec.items():
-                    row = columns.get(c)
-                    if row is None:
-                        row = columns[c] = [0] * dim
-                    row[i] = sign * val
-            for row in columns.values():
-                constraints.insert(row)
-            if len(constraints.rows) == dim:
-                return Subspace(dim)  # kernel already forced to zero
+    rows: dict = {}  # (j, k, t) -> constraint row
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            for c in range(b + 1, dim):
+                vec = jac(a, b, c)
+                for j, k, i, sign in ((b, c, a, 1), (a, c, b, -1), (a, b, c, 1)):
+                    for t, val in vec.items():
+                        rows.setdefault((j, k, t), [0] * dim)[i] = sign * val
+    constraints = _Echelon(dim)
+    for row in rows.values():
+        constraints.insert(row)
     return _nullspace(constraints, dim)
 
 
@@ -489,7 +487,7 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
     for s in spaces:
         if s not in starts:
             starts[s] = len(rows)
-            rows.extend(_integral(r) for r in s.rows)
+            rows.extend(_sparse(r) for r in s._rows)
     ou, ov, ow = (starts[s] for s in spaces)
     nw = w_space.dim
     jac = _Jacobians(algebra.integral_model()[0], rows)
@@ -545,8 +543,8 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
         raise DimensionMismatch()
     model, d = algebra.integral_model()
     ech = ideal._echelon()
-    for t, (row, p) in enumerate(zip(ideal.rows, ideal.pivots)):
-        u = _integral(row)
+    for t, (row, p) in enumerate(zip(ideal._rows, ideal.pivots)):
+        u = _sparse(row)
         for j in range(algebra.dim):
             prod = model.multiply_sparse(u, {j: 1})
             if prod and any(ech._reduce(_dense(prod, algebra.dim))[0]):

@@ -239,6 +239,31 @@ def test_powers_max_stops_building_at_zero_and_is_capped(tmp_path, capsys):
     assert stderr.startswith("error:") and str(MAX_POWERS) in stderr
 
 
+def test_powers_goes_past_a_plateau(tmp_path, capsys):
+    # A^4 = A^5 is a plateau, and A^6 = 0
+    out = tmp_path / "plateau.alg"
+    out.write_text("dim 5\nsc 1 2 -> 4:-1\nsc 1 3 -> 2:1\nsc 2 4 -> 0:-1\n")
+    code, stdout, _ = run_cli(capsys, "powers", str(out))
+    assert code == 0
+    assert stdout.endswith("power.5: 1\npower.6: 0\nnilpotent: yes\nclass: 6\n")
+    code, stdout, _ = run_cli(capsys, "powers", str(out), "--max", "7")
+    assert code == 0
+    assert stdout.endswith("power.6: 0\npower.7: 0\nnilpotent: yes\nclass: 6\n")
+
+
+def test_powers_rejects_an_unsettled_chain_while_check_answers(tmp_path, capsys):
+    # e_k e_(k+1) = e_(k+2) on 12 basis vectors has class 145, past the
+    # power chain's cap: no class, so the identity scan is not pruned
+    out = tmp_path / "fib12.alg"
+    out.write_text("dim 12\n" + "".join(f"sc {k} {k + 1} -> {k + 2}:1\n" for k in range(10)))
+    for argv in ([], ["--max", "3"]):
+        code, stdout, stderr = run_cli(capsys, "powers", str(out), *argv)
+        assert code == 2 and not stdout
+        assert stderr.startswith("error:") and "power chain" in stderr
+    code, stdout, _ = run_cli(capsys, "check", str(out), "jacobi")
+    assert code in (0, 1) and "tuples: " in stdout
+
+
 def test_generate_by_labels_and_coords(tmp_path, capsys):
     src = tmp_path / "atilde.alg"
     dst = tmp_path / "sub.alg"

@@ -1,10 +1,13 @@
+import ast
 import math
 import random
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import malcevlab
 from malcevlab import (
     IdentityError,
     IdentityParseError,
@@ -16,7 +19,7 @@ from malcevlab import (
 )
 from malcevlab.construct import cross_product_algebra, octonion_malcev
 from malcevlab.engine import evaluate_identity, random_element
-from malcevlab.identities import _CATALOG_SOURCES, MAX_NESTING, MAX_TERMS
+from malcevlab.identities import _CATALOG_SOURCES, MAX_NESTING, MAX_TERMS, _Parser
 
 
 def side_as_dict(side):
@@ -106,6 +109,18 @@ def test_nesting_depth_is_bounded():
         inner = f"({inner})"
     with pytest.raises(IdentityParseError):
         parse_identity(f"d : x,y,z | J({inner},z,z) = 0")
+
+
+def test_parser_guards_are_exceptions_not_asserts():
+    # parse_coeff is only entered at an integer token; off one it raises the
+    # typed error, which python -O does not strip the way it strips asserts
+    parser = _Parser("d : x | x = 0")
+    with pytest.raises(IdentityParseError):
+        parser.parse_coeff()
+    src = Path(malcevlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 def _nested_j(levels):

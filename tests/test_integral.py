@@ -41,7 +41,7 @@ from malcevlab import (
     subalgebra_generate,
     zoo,
 )
-from malcevlab import engine, subspaces
+from malcevlab import engine
 from malcevlab.subspaces import filtration, stable_powers
 
 ZOO = zoo()
@@ -70,17 +70,16 @@ SEEDED_RANDOM = st.integers(0, 2**32 - 1).map(random.Random)
 
 @contextmanager
 def plain_fractions():
-    """The Fraction path: no model, no integral rows or coefficients.
+    """The Fraction path: no model and no integral coefficients.
 
-    Only the products change path.  The echelon accumulator is integral on
-    either path (a Fraction vector enters it as its integral form), so
-    this reference shares it and does not cover a Fraction RREF: the
-    integer echelon has its own differential test against sympy in
-    test_subspaces.py.
+    Only the products change path: they run in the algebra itself rather
+    than in its integral model.  A subspace's stored rows are primitive
+    int rows on either path, so this reference shares the echelon and does
+    not cover a Fraction RREF: the integer echelon has its own
+    differential test against sympy in test_subspaces.py.
     """
     with mock.patch.object(Algebra, "integral_model", lambda self: (self, 1)), \
-            mock.patch.object(engine, "_integral_terms", lambda ident, terms, d: (terms, 1)), \
-            mock.patch.object(subspaces, "_integral", subspaces._sparse):
+            mock.patch.object(engine, "_integral_terms", lambda ident, terms, d: (terms, 1)):
         yield
 
 

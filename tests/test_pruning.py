@@ -32,6 +32,7 @@ from malcevlab import (
 from malcevlab import engine
 from malcevlab.construct import abelian_algebra, heisenberg_algebra
 from malcevlab.subspaces import filtration
+from test_subspaces import plateau_algebra
 
 # z has degree 0: it adds no factor to any product, so these are not
 # multilinear even after linearization and must not be pruned
@@ -200,3 +201,11 @@ def test_filtration_stops_at_a_stable_power():
         filtration(oct7)
         filtration(oct7)
     assert len(calls) == 49
+
+
+def test_pruned_scan_matches_plain_scan_past_a_plateau():
+    # A^4 = A^5 != 0 and A^6 = 0: the scan is pruned with class 6
+    algebra = plateau_algebra()
+    assert filtration(algebra) == ((5, 1, 2, 1, 3), 6)
+    for check, ident in CHECKS:
+        assert_matches_plain_scan(algebra, check, ident)

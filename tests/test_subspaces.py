@@ -15,10 +15,12 @@ from malcevlab import (
     Element,
     NotAnIdealError,
     Subspace,
+    UnsettledChainError,
     catalog_identity,
     check_identity,
     full_space,
     ideal_closure,
+    is_nilpotent,
     jacobian_span,
     lie_kernel,
     power_chain,
@@ -32,9 +34,10 @@ from malcevlab.construct import (
     abelian_algebra,
     cross_product_algebra,
     heisenberg_algebra,
+    octonion_malcev,
 )
 from malcevlab.engine import random_element
-from malcevlab.subspaces import filtration, stable_powers
+from malcevlab.subspaces import MAX_CHAIN, filtration, stable_powers
 from malcevlab.verify import _power_triples
 
 # the benchmark's change of basis and generator triples (rational_rebased)
@@ -141,6 +144,101 @@ def test_power_chain_is_descending(animals):
         chain = power_chain(algebra, min(algebra.dim + 2, 7))
         for bigger, smaller in zip(chain, chain[1:]):
             assert bigger.contains_subspace(smaller), name
+
+
+# -- the power chain's stop rule -------------------------------------------------
+
+
+def plateau_algebra() -> Algebra:
+    """e1 e2 = -e4, e1 e3 = e2, e2 e4 = -e0: powers of dim 5, 3, 2, 1, 1, 0.
+    A^4 = A^5 is a plateau that ends: a repeated power is not the end."""
+    return Algebra(5, None, {(1, 2): {4: -1}, (1, 3): {2: 1}, (2, 4): {0: -1}})
+
+
+def fibonacci_algebra(n: int) -> Algebra:
+    """e_k e_(k+1) = e_(k+2) on n basis vectors: nilpotent, with a class
+    that grows exponentially with n (long plateaus)."""
+    return Algebra(n, None, {(k, k + 1): {k + 2: 1} for k in range(n - 2)})
+
+
+def naive_powers(algebra: Algebra, k: int) -> list:
+    """A^1..A^k, A^n the sum of A^i A^j over every i + j = n: no stop rule,
+    no cache, no use of anticommutativity."""
+    chain = [full_space(algebra)]
+    for n in range(2, k + 1):
+        power = Subspace(algebra.dim)
+        for i in range(1, n):
+            power = power.add(product_subspace(algebra, chain[i - 1], chain[n - i - 1]))
+        chain.append(power)
+    return chain
+
+
+def test_a_plateau_does_not_end_the_chain():
+    algebra = plateau_algebra()
+    assert [s.dim for s in stable_powers(algebra)] == [5, 3, 2, 1, 1, 0]
+    assert is_nilpotent(algebra) == (True, 6)
+    assert filtration(algebra)[1] == 6
+    assert [s.dim for s in power_chain(algebra, 8)] == [5, 3, 2, 1, 1, 0, 0, 0]
+
+
+def test_power_chain_past_its_end_forms_no_product():
+    algebra = plateau_algebra()
+    assert _count_products(power_chain, algebra, 2) > 0  # builds the whole chain
+    assert _count_products(power_chain, algebra, MAX_CHAIN) == 0
+    octonions = octonion_malcev()
+    chain = power_chain(octonions, 9)
+    assert _count_products(power_chain, octonions, 9) == 0
+    assert len(stable_powers(octonions)) == 2 and all(s == chain[0] for s in chain)
+
+
+def test_zoo_chains_end_where_they_stop_descending(animals):
+    # a strictly descending chain ends at zero; only the octonions and the
+    # cross product (A^2 = A) settle at a nonzero power
+    for name, algebra in animals.items():
+        dims = [s.dim for s in stable_powers(algebra)]
+        if name in ("octonion_malcev", "cross_product"):
+            assert dims == [algebra.dim] * 2, name
+        else:
+            assert dims[-1] == 0 and dims == sorted(set(dims), reverse=True), name
+
+
+def test_class_grows_exponentially_and_the_chain_is_capped():
+    assert is_nilpotent(fibonacci_algebra(8)) == (True, 22)
+    big = fibonacci_algebra(12)  # class 145
+    assert len(stable_powers(big)) == MAX_CHAIN
+    assert filtration(big)[1] is None  # no class: the identity scan is not pruned
+    assert len(power_chain(big, MAX_CHAIN)) == MAX_CHAIN
+    with pytest.raises(UnsettledChainError):
+        is_nilpotent(big)
+    with pytest.raises(UnsettledChainError):
+        power_chain(big, MAX_CHAIN + 1)
+    assert issubclass(UnsettledChainError, ValueError)
+
+
+@st.composite
+def small_algebras(draw):
+    """Anticommutative algebras of dim 2..6 with a few nonzero basis
+    products, each a small-int multiple of one basis element outside its
+    pair: long power chains, and plateaus that end, are common there."""
+    dim = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    products = {}
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=dim)):
+        others = [c for c in range(dim) if c not in (a, b)]
+        if others:
+            products[(a, b)] = {draw(st.sampled_from(others)): draw(st.sampled_from((-2, -1, 1, 2)))}
+    return Algebra(dim, None, products)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_algebras())
+@example(plateau_algebra())
+def test_power_chain_matches_the_naive_powers(algebra):
+    k = len(stable_powers(algebra)) + 4
+    naive = naive_powers(algebra, k)
+    assert power_chain(algebra, k) == naive
+    zero = [n for n, power in enumerate(naive, start=1) if power.is_zero()]
+    assert is_nilpotent(algebra) == ((True, zero[0]) if zero else (False, None))
 
 
 def test_lie_kernel_on_lie_algebras():
