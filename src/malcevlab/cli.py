@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse errors.
-Output is deterministic for a given input and seed; `--format
-machine-readable` emits a stable line-oriented `key: value` format.
+Output is deterministic for a given input and seed: stable line-oriented
+`key: value` pairs, and `verify-paper --format machine-readable` emits that
+form too.  A command takes only the flags it reads: `--jobs` on check,
+classify and verify-paper, `--seed` and `--format` on verify-paper alone.
 
 Each command imports the layers it runs when it runs: start-up loads only
 the algebra file format, so `kernel` never loads the identity engine and
@@ -37,16 +39,8 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+def _jobs_flag(parser):
     parser.add_argument("--jobs", type=_jobs, default=1, help="parallel workers for tuple enumeration")
-    parser.add_argument(
-        "--format",
-        choices=("text", "machine-readable"),
-        default="text",
-        dest="fmt",
-        help="output format",
-    )
 
 
 def _build_parser():
@@ -59,16 +53,15 @@ def _build_parser():
     p = sub.add_parser("build", help="construct an algebra and write its text file")
     p.add_argument("descriptor", nargs="+", help="'paper-example', 'free N C', or 'zoo NAME'")
     p.add_argument("-o", "--output", help="output file (default: derived from the descriptor)")
-    _common_flags(p)
 
     p = sub.add_parser("check", help="check an identity (catalog name or DSL) on an algebra file")
     p.add_argument("file")
     p.add_argument("identity", help="catalog name, or DSL 'name : vars | expr = expr'")
-    _common_flags(p)
+    _jobs_flag(p)
 
     p = sub.add_parser("classify", help="report where an algebra sits in the identity hierarchy")
     p.add_argument("file")
-    _common_flags(p)
+    _jobs_flag(p)
 
     p = sub.add_parser("verify-paper", help="run the complete certification suite")
     p.add_argument(
@@ -76,17 +69,23 @@ def _build_parser():
         action="store_true",
         help="test mode: corrupt one form value to demonstrate the checks fail",
     )
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    _jobs_flag(p)
+    p.add_argument(
+        "--format",
+        choices=("text", "machine-readable"),
+        default="text",
+        dest="fmt",
+        help="output format",
+    )
 
     p = sub.add_parser("kernel", help="compute the Lie kernel of an algebra file")
     p.add_argument("file")
-    _common_flags(p)
 
     p = sub.add_parser("powers", help="compute the power chain A, A^2, ...")
     p.add_argument("file")
     p.add_argument("--max", type=int, default=None,
-                   help=f"largest power, at most {MAX_POWERS} (default: until stable)")
-    _common_flags(p)
+                   help=f"largest power, 1 to {MAX_POWERS} (default: until stable)")
 
     p = sub.add_parser("generate", help="subalgebra generated by listed elements")
     p.add_argument("file")
@@ -96,14 +95,11 @@ def _build_parser():
         help="basis labels, basis indices, or comma-separated coordinate vectors",
     )
     p.add_argument("-o", "--output", help="write the generated subalgebra as an algebra file")
-    _common_flags(p)
 
     return parser
 
 
 def _emit(pairs):
-    # both output formats are the same stable line-oriented key: value
-    # form for the simple commands; only verify-paper renders differently
     for key, value in pairs:
         print(f"{key}: {value}")
 
@@ -212,11 +208,11 @@ def _cmd_kernel(args) -> int:
 def _cmd_powers(args) -> int:
     from .subspaces import UnsettledChainError, is_nilpotent, power_chain, stable_powers
 
-    if args.max is not None and args.max > MAX_POWERS:
-        raise _UsageError(f"--max {args.max} is above the cap of {MAX_POWERS} powers")
+    if args.max is not None and not 1 <= args.max <= MAX_POWERS:
+        raise _UsageError(f"--max {args.max} is outside 1..{MAX_POWERS}")
     algebra = _load(args.file)
     try:
-        chain = stable_powers(algebra) if args.max is None else power_chain(algebra, max(args.max, 1))
+        chain = stable_powers(algebra) if args.max is None else power_chain(algebra, args.max)
         nil, cls = is_nilpotent(algebra)
     except UnsettledChainError as exc:
         raise _UsageError(str(exc)) from exc

@@ -6,9 +6,10 @@ integral fractions to plain ints because int arithmetic is roughly an order
 of magnitude faster.  The hot loops never see a Fraction: they multiply in
 an algebra's integral model (``Algebra.integral_model``), with integral
 coefficients and rows, and divide once where a value leaves them.  Echelon
-elimination in ``subspaces`` runs over primitive int rows by
-cross-multiplication, and a Subspace keeps those rows; its canonical
-Fraction rows are formed only when read, by one division per row.
+elimination in ``subspaces`` runs over primitive sparse int rows by
+cross-multiplication through ``algebra.accumulate``, and a Subspace shares
+those rows; its canonical Fraction rows are formed only when read, by one
+division per row.
 """
 
 from __future__ import annotations

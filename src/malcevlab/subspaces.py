@@ -6,20 +6,26 @@ A subspace is stored as its reduced row echelon form with no zero rows,
 each row scaled to a primitive int vector with a positive pivot; that form
 is unique, so two subspaces are equal iff their rows are identical.
 
-Nothing in the calculus forms a Fraction until a value leaves it.  A span
-does not change when a vector is multiplied by a nonzero scalar, so:
+A vector has one format here, from the product that multiply_sparse
+returns to the stored echelon row: a sparse dict {column: value}.  Nothing
+in the calculus forms a Fraction until a value leaves it.  A span does not
+change when a vector is multiplied by a nonzero scalar, so:
 
 - the echelon accumulator (_Echelon) eliminates by cross-multiplication
-  over those int rows, and a Subspace is its frozen view: it keeps the
-  rows as they are and divides each by its pivot only when its canonical
-  Fraction rows (Subspace.rows) are read;
+  through algebra.accumulate over sparse int rows, and a Subspace is its
+  frozen view: it shares the rows as they are and densifies and divides
+  each by its pivot only when its canonical Fraction rows (Subspace.rows)
+  are read;
 - products run in the algebra's integral model A_D
   (Algebra.integral_model) on the stored int rows, and the products in A_D
-  span what the products in the algebra span.
+  span what the products in the algebra span; a product goes straight to
+  the echelon.
 
-Only coordinates that leave the calculus, a residual of Subspace.reduce
-and the structure constants of a quotient or of a generated subalgebra,
-are divided once by their known scale.
+Dense vectors appear only at the boundary: Subspace.rows, the list that
+Subspace.reduce returns, and Element or list inputs.  Only coordinates that
+leave the calculus, a residual of Subspace.reduce and the structure
+constants of a quotient or of a generated subalgebra, are divided once by
+their known scale.
 
 The power chain is built once per algebra, to where it provably settles.
 Jacobians come from one kernel (_Jacobians) whose pair products live for
@@ -29,7 +35,6 @@ and a zero pair product skips its second product.
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -50,121 +55,116 @@ class NotAnIdealError(ValueError):
 
 
 class _Echelon:
-    """Mutable integer reduced-row-echelon accumulator.
+    """Mutable integer reduced-row-echelon accumulator over sparse rows.
 
-    Each row is a primitive int vector: content gcd 1, a positive pivot,
-    and zero in every other row's pivot column.  Divided by its pivot it is
-    the canonical RREF row, and the canonical row times the lcm of its
-    denominators is primitive too, so a row is that integral form: the
-    rows of one span are unique.  Scaling a vector keeps its span, so a
-    vector enters as its integral form and is eliminated by
-    cross-multiplication, vec <- a*vec - c*row with a = row[p] and c =
-    vec[p] divided by gcd(a, c).  Rows may be lists or tuples; elimination
-    replaces a row and never mutates one.
+    Each row is a sparse int dict {column: value}, keyed in rows by its
+    pivot (its least key): content gcd 1, a positive pivot, and no entry in
+    another row's pivot column.  Divided by its pivot it is the canonical
+    RREF row, and the canonical row times the lcm of its denominators is
+    primitive too, so a row is that integral form: the rows of one span are
+    unique.  Scaling a vector keeps its span, so a vector enters as its
+    integral form and is eliminated by cross-multiplication through
+    accumulate, vec <- a*vec - c*row with a = row[p] and c = vec[p] divided
+    by gcd(a, c).  Elimination works on a copy of the vector and builds a
+    new dict for a row it changes: a stored row is never mutated, so a
+    Subspace shares the rows.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list = []  # sorted by pivot column
-        self.pivots: list[int] = []
+        self.rows: dict = {}  # pivot -> row
 
-    def _reduce(self, vec) -> tuple:
-        """(r, s): r is an int list, s times the exact residual of vec.
+    def _reduce(self, vec: dict) -> tuple:
+        """(r, s): r a new int dict, s times the exact residual of vec.
 
-        Enough for zero patterns and spans; reduce divides by s.
+        A row touches only its own pivot among the pivot columns, so each
+        pivot key of vec is eliminated once.  Enough for zero patterns and
+        spans; Subspace.reduce divides by s.
         """
-        vec, s = _integral_list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                a = row[p]
+        vec, s = _integral(vec)
+        rows = self.rows
+        for p in [k for k in vec if k in rows]:
+            row = rows[p]
+            a, c = row[p], vec[p]
+            if a != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
                 if a != 1:
-                    g = gcd(a, c)
-                    a //= g
-                    c //= g
-                if a == 1:  # row is zero before p
-                    for k in range(p, self.width):
-                        if row[k]:
-                            vec[k] -= c * row[k]
-                else:
                     s *= a
-                    vec = [a * x - c * y for x, y in zip(vec, row)]
+                    for k in vec:
+                        vec[k] *= a
+            accumulate(vec, -c, row.items())
         return vec, s
 
-    def reduce(self, vec) -> list:
-        """Eliminate the pivot coordinates of vec; returns the exact residual."""
-        vec, s = self._reduce(vec)
-        if s == 1:
-            return vec
-        return [normalize(Fraction(c, s)) if c else 0 for c in vec]
-
-    def insert(self, vec) -> bool:
+    def insert(self, vec: dict) -> bool:
         """Add a vector to the span; True if the rank grew."""
-        vec = _primitive(self._reduce(vec)[0])
-        if vec is None:
+        vec = self._reduce(vec)[0]
+        if not vec:
             return False
-        pivot = next(k for k, c in enumerate(vec) if c)
+        pivot = min(vec)
+        vec = _primitive(vec, pivot)
         lead = vec[pivot]
+        rows = self.rows
         # clear the new pivot column from existing rows
-        for t, other in enumerate(self.rows):
-            c = other[pivot]
+        for q, other in rows.items():
+            c = other.get(pivot)
             if c:
                 g = gcd(lead, c)
                 a, c = lead // g, c // g
-                self.rows[t] = _primitive([a * x - c * y for x, y in zip(other, vec)])
-        at = bisect(self.pivots, pivot)
-        self.rows.insert(at, vec)
-        self.pivots.insert(at, pivot)
+                row = {k: a * x for k, x in other.items()} if a != 1 else dict(other)
+                rows[q] = _primitive(accumulate(row, -c, vec.items()), q)
+        rows[pivot] = vec
         return True
 
     def subspace(self) -> "Subspace":
-        space = object.__new__(Subspace)
-        space.ambient_dim = self.width
-        space._rows = tuple(map(tuple, self.rows))
-        space.pivots = tuple(self.pivots)
-        return space
+        pivots = sorted(self.rows)
+        return _frozen(self.width, tuple(self.rows[p] for p in pivots), tuple(pivots))
 
 
 _INT = frozenset((int,))
 
 
-def _integral_list(vec) -> tuple:
-    """(m*vec as a new list of ints, m), m the lcm of vec's denominators.
+def _integral(vec: dict) -> tuple:
+    """(m*vec as a new dict of ints, m), m the lcm of vec's denominators.
 
     A Fraction with denominator 1 is not an int, so every non-int entry is
     converted; an all-int vector costs one C-level type scan (isinstance
     against Fraction, an ABC, would be slower on this path).
     """
-    if _INT.issuperset(map(type, vec)):
-        return list(vec), 1
-    m = 1
-    for c in vec:
-        if type(c) is not int:
-            m = lcm(m, c.denominator)
-    return [c * m if type(c) is int else (c * m).numerator for c in vec], m
+    if _INT.issuperset(map(type, vec.values())):
+        return dict(vec), 1
+    m = lcm(*(c.denominator for c in vec.values()))
+    return {k: (c * m).numerator for k, c in vec.items()}, m
 
 
-def _primitive(vec: list):
-    """vec divided by its content, with a positive leading entry; None for 0."""
-    g = gcd(*vec)
-    if not g:
-        return None
-    if next(c for c in vec if c) < 0:
+def _primitive(vec: dict, pivot: int) -> dict:
+    """vec divided by its content, with a positive entry at pivot."""
+    g = gcd(*vec.values())
+    if vec[pivot] < 0:
         g = -g
-    return vec if g == 1 else [c // g for c in vec]
+    return vec if g == 1 else {k: c // g for k, c in vec.items()}
+
+
+def _frozen(width: int, rows: tuple, pivots: tuple) -> "Subspace":
+    space = object.__new__(Subspace)
+    space.ambient_dim = width
+    space._rows = rows
+    space.pivots = pivots
+    return space
 
 
 class Subspace:
     """Canonical subspace of Q^ambient_dim, the frozen view of an _Echelon:
-    its primitive int rows (_rows, unique per span, so == and hash compare
-    them) and pivots.  rows divides each by its pivot when read: the RREF."""
+    its primitive sparse int rows (_rows, sorted by pivot and unique per
+    span, so == and hash compare them) and pivots.  rows densifies each and
+    divides it by its pivot only when read: the RREF."""
 
     __slots__ = ("ambient_dim", "_rows", "pivots")
 
     def __new__(cls, ambient_dim: int, vectors=()):
         ech = _Echelon(ambient_dim)
         for v in vectors:
-            ech.insert(_as_coords(v, ambient_dim))
+            ech.insert(_as_sparse(v, ambient_dim))
         return ech.subspace()
 
     def __getnewargs__(self):
@@ -173,10 +173,14 @@ class Subspace:
 
     @property
     def rows(self) -> tuple:
-        return tuple(
-            r if r[p] == 1 else tuple(normalize(Fraction(c, r[p])) if c else 0 for c in r)
-            for r, p in zip(self._rows, self.pivots)
-        )
+        out = []
+        for r, p in zip(self._rows, self.pivots):
+            a = r[p]
+            dense = [0] * self.ambient_dim
+            for k, c in r.items():
+                dense[k] = c if a == 1 else normalize(Fraction(c, a))
+            out.append(tuple(dense))
+        return tuple(out)
 
     @property
     def dim(self) -> int:
@@ -187,21 +191,25 @@ class Subspace:
 
     def _echelon(self) -> _Echelon:
         ech = _Echelon(self.ambient_dim)
-        ech.rows = list(self._rows)
-        ech.pivots = list(self.pivots)
+        ech.rows = dict(zip(self.pivots, self._rows))
         return ech
 
     def reduce(self, vec) -> list:
-        return self._echelon().reduce(_as_coords(vec, self.ambient_dim))
+        """The exact residual of vec after eliminating the pivot coordinates."""
+        r, s = self._echelon()._reduce(_as_sparse(vec, self.ambient_dim))
+        dense = [0] * self.ambient_dim
+        for k, c in unscale(r, s).items():
+            dense[k] = c
+        return dense
 
     def contains(self, vec) -> bool:
-        return not any(self._echelon()._reduce(_as_coords(vec, self.ambient_dim))[0])
+        return not self._echelon()._reduce(_as_sparse(vec, self.ambient_dim))[0]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch()
         ech = self._echelon()
-        return all(not any(ech._reduce(r)[0]) for r in other._rows)
+        return all(not ech._reduce(r)[0] for r in other._rows)
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -222,21 +230,18 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._rows))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _as_coords(vec, width) -> list:
-    coords = list(vec.coords) if isinstance(vec, Element) else list(vec)
+def _as_sparse(vec, width) -> dict:
+    """An Element or a coordinate list as a sparse dict of its nonzero entries."""
+    coords = vec.coords if isinstance(vec, Element) else list(vec)
     if len(coords) != width:
         raise DimensionMismatch()
-    return coords
-
-
-def _sparse(row) -> dict:
-    return {i: c for i, c in enumerate(row) if c}
+    return {i: c for i, c in enumerate(coords) if c}
 
 
 _ZERO: dict = {}  # the stored zero pair product, shared (never mutated)
@@ -283,20 +288,16 @@ class _Jacobians:
         return out
 
 
-def _dense(vec: dict, width) -> list:
-    row = [0] * width
-    for k, c in vec.items():
-        row[k] = c
-    return row
-
-
 def span(algebra: Algebra, gens) -> Subspace:
     """Canonical subspace spanned by the given elements."""
     return Subspace(algebra.dim, gens)
 
 
 def full_space(algebra: Algebra) -> Subspace:
-    return Subspace(algebra.dim, [algebra.basis_element(i) for i in range(algebra.dim)])
+    """The whole algebra: its rows are the basis, {i: 1} with pivot i, and
+    nothing is eliminated."""
+    dim = algebra.dim
+    return _frozen(dim, tuple({i: 1} for i in range(dim)), tuple(range(dim)))
 
 
 def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subspace:
@@ -306,13 +307,11 @@ def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subsp
         raise DimensionMismatch()
     model = algebra.integral_model()[0]
     ech = _Echelon(algebra.dim)
-    lrows = [_sparse(r) for r in left._rows]
-    rrows = [_sparse(r) for r in right._rows]
-    for u in lrows:
-        for v in rrows:
+    for u in left._rows:
+        for v in right._rows:
             prod = model.multiply_sparse(u, v)
             if prod:
-                ech.insert(_dense(prod, algebra.dim))
+                ech.insert(prod)
     return ech.subspace()
 
 
@@ -355,17 +354,15 @@ def stable_powers(algebra: Algebra) -> tuple:
         return cached
     mul = algebra.integral_model()[0].multiply_sparse
     chain = [full_space(algebra)]
-    rows = []  # rows[i]: the sparse int rows of chain[i]
     while not _settled(chain) and len(chain) < MAX_CHAIN:
-        rows.append([_sparse(r) for r in chain[-1]._rows])
         n = len(chain) + 1
         ech = _Echelon(algebra.dim)
         for i in range(1, n // 2 + 1):
-            for u in rows[i - 1]:
-                for v in rows[n - i - 1]:
+            for u in chain[i - 1]._rows:
+                for v in chain[n - i - 1]._rows:
                     prod = mul(u, v)
                     if prod:
-                        ech.insert(_dense(prod, algebra.dim))
+                        ech.insert(prod)
         chain.append(ech.subspace())
     algebra._power_chain = tuple(chain)
     return algebra._power_chain
@@ -445,7 +442,7 @@ def lie_kernel(algebra: Algebra) -> Subspace:
                 vec = jac(a, b, c)
                 for j, k, i, sign in ((b, c, a, 1), (a, c, b, -1), (a, b, c, 1)):
                     for t, val in vec.items():
-                        rows.setdefault((j, k, t), [0] * dim)[i] = sign * val
+                        rows.setdefault((j, k, t), {})[i] = sign * val
     constraints = _Echelon(dim)
     for row in rows.values():
         constraints.insert(row)
@@ -453,16 +450,16 @@ def lie_kernel(algebra: Algebra) -> Subspace:
 
 
 def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
-    """One solution per free column f: x_f = 1, x_p = -row[f] / row[p]."""
-    pivot_set = set(constraints.pivots)
-    free_cols = [c for c in range(dim) if c not in pivot_set]
+    """One solution per free column f: x_f = 1, x_p = -row[f] / row[p].
+
+    Every column of a row other than its pivot is free."""
+    solutions = {f: {f: 1} for f in range(dim) if f not in constraints.rows}
+    for p, row in constraints.rows.items():
+        for f, c in row.items():
+            if f != p:
+                solutions[f][p] = Fraction(-c, row[p])
     ech = _Echelon(dim)
-    for f in free_cols:
-        vec = [0] * dim
-        vec[f] = 1
-        for row, p in zip(constraints.rows, constraints.pivots):
-            if row[f]:
-                vec[p] = Fraction(-row[f], row[p])
+    for vec in solutions.values():
         ech.insert(vec)
     return ech.subspace()
 
@@ -487,7 +484,7 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
     for s in spaces:
         if s not in starts:
             starts[s] = len(rows)
-            rows.extend(_sparse(r) for r in s._rows)
+            rows.extend(s._rows)
     ou, ov, ow = (starts[s] for s in spaces)
     nw = w_space.dim
     jac = _Jacobians(algebra.integral_model()[0], rows)
@@ -516,7 +513,7 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
             for c in cs:
                 vec = jac(ou + a, ov + b, ow + c)
                 if vec:
-                    ech.insert(_dense(vec, algebra.dim))
+                    ech.insert(vec)
     return ech.subspace()
 
 
@@ -544,30 +541,27 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
     model, d = algebra.integral_model()
     ech = ideal._echelon()
     for t, (row, p) in enumerate(zip(ideal._rows, ideal.pivots)):
-        u = _sparse(row)
         for j in range(algebra.dim):
-            prod = model.multiply_sparse(u, {j: 1})
-            if prod and any(ech._reduce(_dense(prod, algebra.dim))[0]):
-                raise NotAnIdealError(t, j, algebra._from_sparse(unscale(prod, u[p] * d)))
+            prod = model.multiply_sparse(row, {j: 1})
+            if prod and ech._reduce(prod)[0]:
+                raise NotAnIdealError(t, j, algebra._from_sparse(unscale(prod, row[p] * d)))
 
-    pivot_set = set(ideal.pivots)
-    complement = [c for c in range(algebra.dim) if c not in pivot_set]
+    # a residual mod the ideal has no pivot key left: its keys are here
+    complement = [c for c in range(algebra.dim) if c not in ech.rows]
     position = {c: t for t, c in enumerate(complement)}
 
     def project(element: Element) -> Element:
-        residual = ech.reduce(_as_coords(element, algebra.dim))
+        residual = ideal.reduce(element)
         return Element([residual[c] for c in complement])
 
     products: dict = {}
     for a in range(len(complement)):
         for b in range(a + 1, len(complement)):
             prod = model.multiply_sparse({complement[a]: 1}, {complement[b]: 1})
-            if not prod:
-                continue
-            residual = ech.reduce(_dense(prod, algebra.dim))
-            vec = {position[c]: residual[c] for c in complement if residual[c]}
-            if vec:
-                products[(a, b)] = unscale(vec, d)
+            if prod:
+                residual, s = ech._reduce(prod)
+                if residual:
+                    products[(a, b)] = unscale({position[c]: x for c, x in residual.items()}, s * d)
     labels = [algebra.labels[c] for c in complement]
     name = f"{algebra.name}/I" if algebra.name else ""
     return Algebra(len(complement), labels, products, name=name), project
@@ -582,30 +576,29 @@ def subalgebra_generate(algebra: Algebra, gens):
     model, d = algebra.integral_model()
     ech = _Echelon(algebra.dim)
     for g in gens:
-        ech.insert(_as_coords(g, algebra.dim))
+        ech.insert(_as_sparse(g, algebra.dim))
     while True:
-        rows = [_sparse(r) for r in ech.rows]
+        rows = [ech.rows[p] for p in sorted(ech.rows)]
         products: dict = {}
         grew = False
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 prod = products[(a, b)] = model.multiply_sparse(rows[a], rows[b])
-                if prod and ech.insert(_dense(prod, algebra.dim)):
+                if prod and ech.insert(prod):
                     grew = True
         if not grew:
             break
     sub = ech.subspace()
 
-    # the last pass added nothing: its rows are ech.rows, row a is
+    # the last pass added nothing: its rows are sub._rows, row a is
     # scales[a] times sub.rows[a], and its products make the table
-    scales = [r[p] for r, p in zip(ech.rows, sub.pivots)]
+    scales = [r[p] for r, p in zip(sub._rows, sub.pivots)]
     table: dict = {}
     for (a, b), prod in products.items():
-        dense = _dense(prod, algebra.dim)
         # closure guarantees the product lies in the subspace
-        if any(ech._reduce(dense)[0]):
+        if ech._reduce(prod)[0]:
             raise RuntimeError("generated subspace not closed under products")
-        coords = {t: dense[p] for t, p in enumerate(sub.pivots) if dense[p]}
+        coords = {t: prod[p] for t, p in enumerate(sub.pivots) if p in prod}
         if coords:
             table[(a, b)] = unscale(coords, scales[a] * scales[b] * d)
     labels = [algebra.format_element(Element(r), compact=True) for r in sub.rows]

@@ -234,9 +234,10 @@ def test_powers_max_stops_building_at_zero_and_is_capped(tmp_path, capsys):
     assert len(calls) == 3 * 3 + 3 * 1
     assert "power.2: 1" in stdout and "power.3: 0" in stdout
     assert f"power.{MAX_POWERS}: 0" in stdout and f"power.{MAX_POWERS + 1}" not in stdout
-    code, stdout, stderr = run_cli(capsys, "powers", str(out), "--max", str(MAX_POWERS + 1))
-    assert code == 2 and not stdout
-    assert stderr.startswith("error:") and str(MAX_POWERS) in stderr
+    for k in (MAX_POWERS + 1, 0, -2):
+        code, stdout, stderr = run_cli(capsys, "powers", str(out), "--max", str(k))
+        assert code == 2 and not stdout
+        assert stderr.startswith("error:") and str(MAX_POWERS) in stderr
 
 
 def test_powers_goes_past_a_plateau(tmp_path, capsys):
@@ -282,16 +283,25 @@ def test_generate_by_labels_and_coords(tmp_path, capsys):
     assert code == 2
 
 
-def test_machine_readable_format(tmp_path, capsys):
-    out = tmp_path / "heis.alg"
-    run_cli(capsys, "build", "zoo", "heisenberg", "-o", str(out))
-    code, stdout, _ = run_cli(
-        capsys, "check", str(out), "jacobi", "--format", "machine-readable"
-    )
-    assert code == 0
-    lines = stdout.strip().splitlines()
-    assert all(": " in line for line in lines)
-    assert "status: holds" in stdout
+COMMANDS = {
+    "build": ["build", "free", "2", "3"], "check": ["check", "F", "malcev"],
+    "classify": ["classify", "F"], "kernel": ["kernel", "F"], "powers": ["powers", "F"],
+    "generate": ["generate", "F", "e1"],
+}
+# the flags a command does not read, which it refuses: only verify-paper
+# reads --seed and --format, only check, classify and verify-paper --jobs
+DROPPED = [(command, flag) for command in COMMANDS for flag in ("--seed", "--jobs", "--format")
+           if not (flag == "--jobs" and command in ("check", "classify"))]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    argv = [str(tmp_path / "missing.alg") if a == "F" else a for a in COMMANDS[command]]
+    value = {"--seed": "5", "--jobs": "3", "--format": "machine-readable"}[flag]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, value])
+    assert info.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_corrupt_psi_mode_breaks_malcev():
@@ -320,10 +330,7 @@ def test_verify_parser_accepts_flags():
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("command", [
-    ["build", "free", "2", "3"], ["check", "F", "malcev"], ["classify", "F"],
-    ["verify-paper"], ["kernel", "F"], ["powers", "F"], ["generate", "F", "e1"],
-])
+@pytest.mark.parametrize("command", [["check", "F", "malcev"], ["classify", "F"], ["verify-paper"]])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, command, jobs):
     argv = [str(tmp_path / "missing.alg") if a == "F" else a for a in command]

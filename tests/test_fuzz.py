@@ -138,9 +138,22 @@ def heisenberg_file(fuzz_dir):
     return str(path)
 
 
+# the flags each command reads: a command line with any other of
+# FLAG_VALUES is refused (exit 2)
+FLAG_VALUES = {
+    "--jobs": st.one_of(NUMBERS, st.sampled_from(["-3", "0", "2"])),
+    "--seed": NUMBERS,
+    "--format": st.sampled_from(["text", "machine-readable", "json", ""]),
+}
+GOOD_VALUES = {"--jobs": "2", "--seed": "5", "--format": "machine-readable"}
+READS = {"build": (), "check": ("--jobs",), "classify": ("--jobs",), "kernel": (),
+         "powers": (), "generate": ()}
+
+
 def _cli(*argv):
     """(exit code, stdout) of `malcevlab ARGV...`, held to the exit-code
-    contract: 0 or 1, or 2 with an `error:` line on stderr."""
+    contract: 0 or 1, or 2 with an `error:` line on stderr; a command line
+    with a flag its command does not read is refused."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -148,6 +161,8 @@ def _cli(*argv):
         except SystemExit as exc:  # argparse refuses the command line
             code = exc.code
     assert code in (0, 1, 2)
+    if set(argv) & (FLAG_VALUES.keys() - set(READS[argv[0]])):
+        assert code == 2
     if code == 2:
         assert "error:" in err.getvalue()
     return code, out.getvalue()
@@ -163,12 +178,15 @@ def test_check_command_exits_with_a_contract_code(cross_file, text):
 
 # -- the other commands ---------------------------------------------------------
 
-# flags every command takes, with good and bad values
-FLAGS = st.lists(st.one_of(
-    st.tuples(st.just("--jobs"), st.one_of(NUMBERS, st.sampled_from(["-3", "0", "2"]))),
-    st.tuples(st.just("--seed"), NUMBERS),
-    st.tuples(st.just("--format"), st.sampled_from(["text", "machine-readable", "json", ""])),
-).map(list), max_size=2).map(lambda pairs: [arg for pair in pairs for arg in pair])
+def flags(command):
+    """Up to two flags for a command line of command: a flag it reads with
+    good and bad values, one it does not read with a good value (refused)."""
+    pairs = [st.tuples(st.just(flag), values) if flag in READS[command] else
+             st.just((flag, GOOD_VALUES[flag])) for flag, values in FLAG_VALUES.items()]
+    return st.lists(st.one_of(pairs), max_size=2).map(
+        lambda drawn: [arg for pair in drawn for arg in pair])
+
+
 FILES = st.sampled_from(["cross", "heis", "missing", "dir"])
 
 
@@ -187,7 +205,7 @@ DESCRIPTOR_WORDS = st.one_of(
 
 
 @FUZZ
-@given(st.lists(DESCRIPTOR_WORDS, max_size=4), FLAGS)
+@given(st.lists(DESCRIPTOR_WORDS, max_size=4), flags("build"))
 def test_build_command_exits_with_a_contract_code(fuzz_dir, words, flags):
     out = str(fuzz_dir / "built.alg")
     code, stdout = _cli("build", *words, "-o", out, *flags)
@@ -198,7 +216,7 @@ def test_build_command_exits_with_a_contract_code(fuzz_dir, words, flags):
 
 
 @settings(FUZZ, max_examples=60)
-@given(FILES, FLAGS)
+@given(FILES, flags("classify"))
 def test_classify_command_exits_with_a_contract_code(files, name, flags):
     code, stdout = _cli("classify", files[name], *flags)
     assert code != 1
@@ -207,7 +225,7 @@ def test_classify_command_exits_with_a_contract_code(files, name, flags):
 
 
 @FUZZ
-@given(FILES, FLAGS)
+@given(FILES, flags("kernel"))
 def test_kernel_command_exits_with_a_contract_code(files, name, flags):
     code, stdout = _cli("kernel", files[name], *flags)
     assert code != 1
@@ -226,7 +244,7 @@ MAXIMA = st.one_of(
 
 
 @FUZZ
-@given(FILES, st.one_of(st.just([]), MAXIMA.map(lambda m: ["--max", m])), FLAGS)
+@given(FILES, st.one_of(st.just([]), MAXIMA.map(lambda m: ["--max", m])), flags("powers"))
 def test_powers_command_exits_with_a_contract_code(files, name, maximum, flags):
     code, stdout = _cli("powers", files[name], *maximum, *flags)
     assert code != 1
@@ -244,7 +262,7 @@ ELEMENTS = st.one_of(
 
 
 @FUZZ
-@given(FILES, st.lists(ELEMENTS, max_size=3), FLAGS)
+@given(FILES, st.lists(ELEMENTS, max_size=3), flags("generate"))
 def test_generate_command_exits_with_a_contract_code(files, name, elements, flags):
     code, stdout = _cli("generate", files[name], *elements, *flags)
     assert code != 1

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -30,6 +32,7 @@ from malcevlab import (
     second_type_example,
     subalgebra_generate,
 )
+from malcevlab.algebra import MAX_DIM
 from malcevlab.construct import (
     abelian_algebra,
     cross_product_algebra,
@@ -82,6 +85,25 @@ def test_subspace_equality_is_canonical():
     rows_b = [[2, 4, 2], [0, 0, -3], [1, 2, 1]]
     assert Subspace(3, rows_a) == Subspace(3, rows_b)
     assert hash(Subspace(3, rows_a)) == hash(Subspace(3, rows_b))
+
+
+def test_full_space_of_the_largest_dim_is_built_without_elimination(capped_python):
+    # its rows are the basis itself: MAX_DIM rows of one entry each, where
+    # dense rows would need MAX_DIM^2 coordinates
+    done = capped_python("-c", (
+        "import time\n"
+        "from malcevlab.algebra import MAX_DIM\n"
+        "from malcevlab.construct import abelian_algebra\n"
+        "from malcevlab import full_space\n"
+        "algebra = abelian_algebra(MAX_DIM)\n"
+        "start = time.perf_counter()\n"
+        "space = full_space(algebra)\n"
+        "print(space.dim, space.pivots == tuple(range(MAX_DIM)), time.perf_counter() - start)\n"
+    ))
+    assert done.returncode == 0, done.stderr
+    dim, pivots, seconds = done.stdout.split()
+    assert (int(dim), pivots) == (MAX_DIM, "True")
+    assert float(seconds) < 1.0
 
 
 def test_membership_and_inclusion():
@@ -496,9 +518,19 @@ def test_integer_echelon_matches_sympy(case):
     assert space.contains(member)
     other = Subspace(width, right)
     both, _ = _sympy_rref(left + right)
+    # the stored rows are shared with every echelon built from the space:
+    # adding to it and reducing by it mutate none of them
+    stored = copy.deepcopy(space._rows + other._rows)
     assert [tuple(Fraction(c) for c in r) for r in space.add(other).rows] == both
+    space.reduce(vec)
+    assert space._rows + other._rows == stored
     assert space.contains_subspace(other) == (len(both) == len(canonical))
     assert other.contains_subspace(space) == (len(both) == other.dim)
+    # the same span from its rows in reverse order, scaled
+    scaled = [[Fraction(-(t + 2), 3) * c for c in row] for t, row in enumerate(reversed(left))]
+    assert Subspace(width, scaled) == space and hash(Subspace(width, scaled)) == hash(space)
+    for twin in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
+        assert twin == space and hash(twin) == hash(space) and twin.rows == space.rows
 
 
 # -- alternation and product counts --------------------------------------------
