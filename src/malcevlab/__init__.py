@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "subspaces": (
         "NotAnIdealError", "Subspace", "UnsettledChainError", "full_space", "ideal_closure",
-        "is_nilpotent", "jacobian_span", "lie_kernel", "power_chain", "product_subspace",
-        "quotient_algebra", "span", "subalgebra_generate",
+        "is_nilpotent", "jacobian_span", "lie_kernel", "power_chain", "power_jacobian_spans",
+        "product_subspace", "quotient_algebra", "span", "subalgebra_generate",
     ),
     "verify": ("run_suite", "suite_passed"),
 }

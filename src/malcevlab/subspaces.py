@@ -29,8 +29,13 @@ their known scale.
 
 The power chain is built once per algebra, to where it provably settles.
 Jacobians come from one kernel (_Jacobians) whose pair products live for
-one call: jacobian_span and lie_kernel form each row-pair product once,
-and a zero pair product skips its second product.
+one call: jacobian_span, lie_kernel and power_jacobian_spans form each
+row-pair product once (basis rows read it from the structure constants),
+and a zero pair product skips its second product.  Only triples with a
+nonzero pair product are evaluated.  The structure suite's 20 spans
+J(A^i, A^j, A^k) share one call: power_jacobian_spans evaluates each J of
+a basis adapted to the power chain once and files it under every triple
+of powers it belongs to.
 """
 
 from __future__ import annotations
@@ -288,6 +293,33 @@ class _Jacobians:
         return out
 
 
+def _jacobian_triples(model: Algebra, rows: list) -> tuple:
+    """(jac, triples): the _Jacobians kernel over rows, and in increasing
+    order the row-index triples a < b < c with a nonzero pair product
+    among r_a r_b, r_a r_c and r_b r_c.  Every other triple has J = 0.
+
+    Rows that are all basis vectors {i: 1} read their pair products from
+    the structure constants, and the nonzero pairs are the stored ones: no
+    product is formed to find them.  Otherwise each row-pair product is
+    formed once, into the kernel's table.
+    """
+    n = len(rows)
+    keys = [min(r) for r in rows]
+    if all(r == {k: 1} for r, k in zip(rows, keys)):
+        index = {k: x for x, k in enumerate(keys)}
+        jac = _Jacobians(model, rows, lambda x, y: model.basis_product(keys[x], keys[y]))
+        pairs = [(index[i], index[j]) for i, j in model.table if i in index and j in index]
+    else:
+        jac = _Jacobians(model, rows)
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if jac.pair(x, y)]
+    triples = set()
+    for x, y in pairs:
+        for z in range(n):
+            if z != x and z != y:
+                triples.add(tuple(sorted((x, y, z))))
+    return jac, sorted(triples)
+
+
 def span(algebra: Algebra, gens) -> Subspace:
     """Canonical subspace spanned by the given elements."""
     return Subspace(algebra.dim, gens)
@@ -390,16 +422,22 @@ def filtration(algebra: Algebra):
 
     Since A^a A^b lies in A^(a+b), a product tree of basis elements whose
     weights sum to c or more is exactly zero; without a class nothing is
-    skipped.  Both are read from stable_powers and cached on the algebra.
+    skipped.  Both are read from stable_powers and cached on the algebra:
+    each e_i enters as {i: 1} and is reduced against one echelon per
+    power, so no dense basis is formed.
     """
     cached = getattr(algebra, "_filtration", None)
     if cached is not None:
         return cached
     chain = stable_powers(algebra)
     c = len(chain) if chain[-1].is_zero() else None
-    weights = tuple(
-        sum(1 for power in chain[:-1] if power.contains(e)) for e in algebra.basis()
-    )
+    weights = [0] * algebra.dim
+    for power in chain[:-1]:
+        ech = power._echelon()
+        for i in range(algebra.dim):
+            if not ech._reduce({i: 1})[0]:
+                weights[i] += 1
+    weights = tuple(weights)
     algebra._filtration = (weights, c)
     return algebra._filtration
 
@@ -424,25 +462,24 @@ def lie_kernel(algebra: Algebra) -> Subspace:
     one constraint row per basis pair j < k and coordinate t:
     sum_i x_i J(e_i, e_j, e_k)[t] = 0.
 
-    J is alternating in an anticommutative algebra, so one pass over the
-    triples a < b < c computes each J(e_a, e_b, e_c) once and scatters it,
-    with the sign of the permutation, into column a of the rows of pair
-    (b, c), column b of pair (a, c) (negated) and column c of pair (a, b).
-    Its first products e_a e_b are structure-constant lookups, each read
-    once per call, and a zero one skips its second product.
+    J is alternating in an anticommutative algebra, so each J(e_a, e_b,
+    e_c) with a < b < c is computed once and scattered, with the sign of
+    the permutation, into column a of the rows of pair (b, c), column b of
+    pair (a, c) (negated) and column c of pair (a, b).  Only the triples
+    with a nonzero structure constant among their pairs are visited
+    (_jacobian_triples); every other J is zero.  Its first products e_a e_b
+    are structure-constant lookups, each read once per call, and a zero
+    one skips its second product.
     """
     dim = algebra.dim
     # each J in the model is D^2 times the J here: the same constraints
-    model = algebra.integral_model()[0]
-    jac = _Jacobians(model, [{i: 1} for i in range(dim)], model.basis_product)
+    jac, triples = _jacobian_triples(algebra.integral_model()[0], [{i: 1} for i in range(dim)])
     rows: dict = {}  # (j, k, t) -> constraint row
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                vec = jac(a, b, c)
-                for j, k, i, sign in ((b, c, a, 1), (a, c, b, -1), (a, b, c, 1)):
-                    for t, val in vec.items():
-                        rows.setdefault((j, k, t), {})[i] = sign * val
+    for a, b, c in triples:
+        vec = jac(a, b, c)
+        for j, k, i, sign in ((b, c, a, 1), (a, c, b, -1), (a, b, c, 1)):
+            for t, val in vec.items():
+                rows.setdefault((j, k, t), {})[i] = sign * val
     constraints = _Echelon(dim)
     for row in rows.values():
         constraints.insert(row)
@@ -515,6 +552,53 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
                 if vec:
                     ech.insert(vec)
     return ech.subspace()
+
+
+def power_jacobian_spans(algebra: Algebra, chain, triples) -> dict:
+    """{(i, j, k): J(A^i, A^j, A^k)} for the power triples given, in one
+    pass; chain is [A^1, ..., A^K] as power_chain returns it, and every
+    index of triples lies in 1..K.
+
+    Adapted basis: the stored rows of A^K, ..., A^1, deepest first, go into
+    one echelon, and each row that grows its rank joins a basis B of A^1
+    with weight m, its power.  The chain descends, so after A^m the kept
+    rows span A^m: A^m is spanned by the elements of B of weight >= m.
+
+    By multilinearity J(A^i, A^j, A^k) is then spanned by the J(x, y, z)
+    with x, y, z in B of weights >= i, j, k.  J is alternating, so a
+    repeated element gives 0 and a permutation changes only the sign: the
+    three elements a < b < c of B contribute J(a, b, c) exactly when some
+    assignment of them to the three slots meets the bounds, that is, when
+    their sorted weights w1 <= w2 <= w3 satisfy i <= w1, j <= w2 and k <=
+    w3 for the sorted bounds i <= j <= k.  One _Jacobians table evaluates
+    each triple of B with a nonzero pair product once (_jacobian_triples;
+    every other J is zero), and each nonzero J goes into every requested
+    span whose bounds it meets.
+    """
+    dim = algebra.dim
+    if any(power.ambient_dim != dim for power in chain):
+        raise DimensionMismatch()
+    if any(not 1 <= m <= len(chain) for t in triples for m in t):
+        raise ValueError(f"power indices must lie in 1..{len(chain)}, the chain given")
+    ech = _Echelon(dim)
+    rows: list = []
+    weights: list = []
+    for m in range(len(chain), 0, -1):
+        for r in chain[m - 1]._rows:
+            if ech.insert(r):
+                rows.append(r)
+                weights.append(m)
+    jac, found = _jacobian_triples(algebra.integral_model()[0], rows)
+    spans = {t: _Echelon(dim) for t in triples}
+    bounds = [(sorted(t), out) for t, out in spans.items()]
+    for a, b, c in found:
+        vec = jac(a, b, c)
+        if vec:
+            w1, w2, w3 = sorted((weights[a], weights[b], weights[c]))
+            for (i, j, k), out in bounds:
+                if i <= w1 and j <= w2 and k <= w3:
+                    out.insert(vec)
+    return {t: out.subspace() for t, out in spans.items()}
 
 
 def ideal_closure(algebra: Algebra, seed: Subspace) -> Subspace:

@@ -8,6 +8,11 @@ equivalence of the first-type characterizations across the zoo, the
 regression identities, the square-zero semiprimeness witness, and the
 random-vs-exhaustive cross-check.
 
+The structure suite's Jacobian spans J(A^i, A^j, A^k), for all 20
+sorted power triples, come from one pass (power_jacobian_spans); one
+direct jacobian_span(A, A, A) call checks the pass's J(A, A, A), and a
+difference fails the check with one more detail line.
+
 Reports are deterministic for a fixed seed: no timing, stable ordering,
 stable formatting, and the parallel job count does not change any value.
 """
@@ -40,6 +45,7 @@ from .subspaces import (
     jacobian_span,
     lie_kernel,
     power_chain,
+    power_jacobian_spans,
     product_subspace,
     quotient_algebra,
     subalgebra_generate,
@@ -228,9 +234,10 @@ def _check_structure_suite(s: _Session):
         (f"tuples: {rep_c.tuples_checked}",),
     )
 
-    spans = {}
-    for i, j, k in _power_triples():
-        spans[(i, j, k)] = jacobian_span(at, chain[i - 1], chain[j - 1], chain[k - 1])
+    spans = power_jacobian_spans(at, chain, list(_power_triples()))
+    # an independent check of the pass: J(A,A,A) from the one-triple span
+    direct = jacobian_span(at, chain[0], chain[0], chain[0])
+    ok_direct = direct == spans[(1, 1, 1)]
     high = [f"J(A^{i},A^{j},A^{k}) dim {spans[(i,j,k)].dim}"
             for (i, j, k) in spans if i + j + k >= 5 and not spans[(i, j, k)].is_zero()]
     ok_di = not high
@@ -251,8 +258,9 @@ def _check_structure_suite(s: _Session):
     yield _result(
         "structure.jacobian_span_vanishing",
         "J(A^i,A^j,A^k) = 0 for i+j+k >= 5; J(A^i,A^j,A^k)A^r = 0 for i+j+k+r >= 5; (J(A,A,A)A)A = 0",
-        ok_di and ok_dii and ok_diii,
-        tuple(high + bad_dii) + (f"J(A,A,A) dim: {jspan.dim}", f"(JA)A dim: {jaa.dim}"),
+        ok_di and ok_dii and ok_diii and ok_direct,
+        tuple(high + bad_dii) + (f"J(A,A,A) dim: {jspan.dim}", f"(JA)A dim: {jaa.dim}")
+        + (() if ok_direct else (f"direct J(A,A,A) dim: {direct.dim}, differs from the pass",)),
     )
 
     square = product_subspace(at, jspan, jspan)

@@ -8,6 +8,7 @@ transposition) and tuples_checked must agree.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -30,9 +31,9 @@ from malcevlab import (
     power_chain,
 )
 from malcevlab import engine
-from malcevlab.construct import abelian_algebra, heisenberg_algebra
-from malcevlab.subspaces import filtration
-from test_subspaces import plateau_algebra
+from malcevlab.construct import ZOO, abelian_algebra, heisenberg_algebra
+from malcevlab.subspaces import Subspace, filtration, full_space, stable_powers
+from test_subspaces import _zoo_algebra, plateau_algebra
 
 # z has degree 0: it adds no factor to any product, so these are not
 # multilinear even after linearization and must not be pruned
@@ -177,6 +178,30 @@ def test_filtration_without_class_and_edge_cases():
     assert filtration(octonion_malcev()) == ((1,) * 7, None)
     assert filtration(abelian_algebra(3)) == ((1, 1, 1), 2)
     assert filtration(Algebra(0)) == ((), 1)
+
+
+REBASED = ("second_type_23@rebased", "quotient_22@rebased", "octonion_malcev@rebased")
+
+
+@pytest.mark.parametrize("name", list(ZOO) + list(REBASED))
+def test_filtration_weights_are_the_dense_containment_counts(animals, name):
+    # weights[i] counts the powers before the chain's last that contain
+    # e_i, tested here on the dense basis element
+    algebra = _zoo_algebra(animals, name)
+    chain = stable_powers(algebra)
+    dense = tuple(sum(1 for power in chain[:-1] if power.contains(e)) for e in algebra.basis())
+    assert filtration(algebra)[0] == dense
+
+
+def test_filtration_of_a_large_abelian_algebra_forms_no_dense_basis():
+    # the chain is preset as stable_powers caches it (its A*A step forms
+    # dim^2 products of its own), so this times the weights alone
+    assert stable_powers(abelian_algebra(5)) == (full_space(abelian_algebra(5)), Subspace(5))
+    algebra = abelian_algebra(4000)
+    algebra._power_chain = (full_space(algebra), Subspace(algebra.dim))
+    t0 = time.perf_counter()
+    assert filtration(algebra) == ((1,) * 4000, 2)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_filtration_is_cached_and_agrees_with_is_nilpotent(animals):

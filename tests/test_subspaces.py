@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from malcevlab import (
     Algebra,
+    DimensionMismatch,
     Element,
     NotAnIdealError,
     Subspace,
@@ -26,6 +28,7 @@ from malcevlab import (
     jacobian_span,
     lie_kernel,
     power_chain,
+    power_jacobian_spans,
     product_subspace,
     quotient_algebra,
     span,
@@ -34,14 +37,16 @@ from malcevlab import (
 )
 from malcevlab.algebra import MAX_DIM
 from malcevlab.construct import (
+    ZOO,
     abelian_algebra,
     cross_product_algebra,
     heisenberg_algebra,
     octonion_malcev,
 )
+from malcevlab import verify
 from malcevlab.engine import random_element
-from malcevlab.subspaces import MAX_CHAIN, filtration, stable_powers
-from malcevlab.verify import _power_triples
+from malcevlab.subspaces import MAX_CHAIN, _jacobian_triples, filtration, stable_powers
+from malcevlab.verify import _power_triples, corrupted_psi_entries
 
 # the benchmark's change of basis and generator triples (rational_rebased)
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -619,3 +624,130 @@ def test_product_counts():
     algebra = rebased.algebra
     algebra.integral_model()
     assert _count_products(lambda: [subalgebra_generate(algebra, t) for t in triples]) == 2208
+
+
+# -- the structure suite's spans in one pass -------------------------------------
+
+TRIPLES_OF_FOUR = list(_power_triples())
+
+
+def _direct_spans(algebra, chain, triples):
+    """The pass's reference: one jacobian_span call per power triple."""
+    return {(i, j, k): jacobian_span(algebra, chain[i - 1], chain[j - 1], chain[k - 1])
+            for i, j, k in triples}
+
+
+@pytest.mark.parametrize("name", list(ZOO) + ["corrupt_psi"])
+def test_power_jacobian_spans_equal_the_direct_spans(animals, name):
+    algebra = (second_type_example(corrupted_psi_entries()) if name == "corrupt_psi"
+               else animals[name])
+    chain = power_chain(algebra, 4)
+    assert power_jacobian_spans(algebra, chain, TRIPLES_OF_FOUR) == \
+        _direct_spans(algebra, chain, TRIPLES_OF_FOUR), name
+
+
+@st.composite
+def descending_chains(draw, algebra):
+    """Four descending spans V1 >= V2 >= V3 >= V4, each the span of its
+    own sparse generators and those of the deeper ones: the pass needs
+    only a descending chain, and these rows are not basis vectors."""
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    gens = [draw(st.lists(
+        st.dictionaries(st.integers(0, algebra.dim - 1), coeff, min_size=1, max_size=3),
+        max_size=3)) for _ in range(4)]
+    return [span(algebra, [algebra._from_sparse(g) for level in gens[m:] for g in level])
+            for m in range(4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["octonion_malcev@rebased", "quotient_22@rebased", "quotient_22@halved"]),
+       power=st.booleans(), data=st.data())
+def test_power_jacobian_spans_on_rebased_algebras(animals, name, power, data):
+    # the power chain of a non-graded basis, or a drawn descending chain
+    if name not in _REBASED:
+        _REBASED[name] = _zoo_algebra(animals, name)
+    algebra = _REBASED[name]
+    chain = power_chain(algebra, 4) if power else data.draw(descending_chains(algebra))
+    # in any order: J(U, V, W) is symmetric in its spaces up to sign
+    index = st.integers(1, 4)
+    triples = data.draw(st.lists(st.tuples(index, index, index), min_size=1, unique=True))
+    assert power_jacobian_spans(algebra, chain, triples) == _direct_spans(algebra, chain, triples)
+
+
+def test_power_jacobian_spans_product_count():
+    # the adapted basis of the graded example is its basis: pair products
+    # are structure-constant lookups, and one second product per nonzero
+    # pair and third element, 567 <= C(23, 2) + 21 * 27 = 820
+    at = second_type_example()
+    chain = power_chain(at, 4)
+    assert _count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 21 * len(at.table)
+
+
+def test_jacobian_triples_agree_on_basis_and_scaled_rows(animals):
+    # basis rows read the nonzero pairs from the structure constants,
+    # scaled rows form each pair product: the same triples either way
+    for name in SMALL_ZOO + ["quotient_22"]:
+        algebra = animals[name]
+        _, from_table = _jacobian_triples(algebra, [{i: 1} for i in range(algebra.dim)])
+        _, from_products = _jacobian_triples(algebra, [{i: 2} for i in range(algebra.dim)])
+        brute = [(a, b, c) for a in range(algebra.dim) for b in range(a + 1, algebra.dim)
+                 for c in range(b + 1, algebra.dim)
+                 if any(algebra.basis_product(x, y) for x, y in ((a, b), (a, c), (b, c)))]
+        assert from_table == from_products == brute, name
+
+
+def test_power_jacobian_spans_from_the_third_pair_alone():
+    # J(e1, e2, e3) = (e3 e1) e2 = -e5, and of its pairs only (e3, e1) has
+    # a product; the adapted basis lists e1, e2, e3 last, in that order
+    algebra = Algebra(5, None, {(0, 2): {3: 1}, (1, 3): {4: -1}})
+    chain = power_chain(algebra, 4)
+    spans = power_jacobian_spans(algebra, chain, TRIPLES_OF_FOUR)
+    assert spans[(1, 1, 1)] == span(algebra, [algebra.basis_element(4)])
+    assert spans == _direct_spans(algebra, chain, TRIPLES_OF_FOUR)
+
+
+def test_power_jacobian_spans_rejects_an_index_outside_the_chain(atilde):
+    chain = power_chain(atilde, 4)
+    for bad in [(1, 1, 5), (0, 1, 1)]:
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            power_jacobian_spans(atilde, chain, [bad])
+    with pytest.raises(DimensionMismatch):
+        power_jacobian_spans(atilde, power_chain(octonion_malcev(), 4), [(1, 1, 1)])
+
+
+def _structure_results(corrupt, spans=None):
+    """The structure suite's results, with the pass replaced by spans if given."""
+    session = verify._Session(0, 1, corrupt)
+    if spans is None:
+        return list(verify._check_structure_suite(session))
+    with mock.patch.object(verify, "power_jacobian_spans", spans):
+        return list(verify._check_structure_suite(session))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_structure_suite_results_equal_the_twenty_call_path(corrupt):
+    assert _structure_results(corrupt) == _structure_results(corrupt, _direct_spans)
+
+
+def test_structure_suite_cross_checks_the_pass():
+    # a pass whose J(A,A,A) differs from the direct span fails the check
+    # and adds one detail line
+    def wrong(algebra, chain, triples):
+        spans = _direct_spans(algebra, chain, triples)
+        spans[(1, 1, 1)] = Subspace(algebra.dim)
+        return spans
+
+    good = {r.key: r for r in _structure_results(False)}
+    bad = {r.key: r for r in _structure_results(False, wrong)}
+    key = "structure.jacobian_span_vanishing"
+    assert good[key].passed and not bad[key].passed
+    assert bad[key].details[-1] == "direct J(A,A,A) dim: 5, differs from the pass"
+    assert len(bad[key].details) == len(good[key].details) + 1
+
+
+def test_lie_kernel_of_a_large_abelian_algebra_forms_no_product():
+    algebra = abelian_algebra(2000)
+    t0 = time.perf_counter()
+    assert _count_products(lie_kernel, algebra) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert lie_kernel(algebra) == full_space(algebra)
