@@ -116,6 +116,14 @@ def unscale(vec: dict, scale: int) -> dict:
     return {k: normalize(Fraction(c, scale)) for k, c in vec.items()}
 
 
+def dense(vec: dict, width: int) -> list:
+    """The coordinate list of a sparse vector of that width."""
+    coords = [0] * width
+    for k, c in vec.items():
+        coords[k] = c
+    return coords
+
+
 class Algebra:
     """Anticommutative algebra given by structure constants.
 
@@ -195,10 +203,7 @@ class Algebra:
         return out
 
     def _from_sparse(self, vec: dict) -> Element:
-        coords = [0] * self.dim
-        for k, c in vec.items():
-            coords[k] = c
-        return Element(coords)
+        return Element(dense(vec, self.dim))
 
     def multiply(self, u: Element, v: Element) -> Element:
         """Bilinear extension of the structure constants, exact."""
@@ -281,7 +286,7 @@ class Algebra:
     def from_text(cls, text: str, name: str = "") -> "Algebra":
         dim = None
         labels: dict[int, tuple] = {}   # index -> (line number, name)
-        products: dict = {}
+        products: dict = {}             # (i, j) -> (line number, {k: c})
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -291,7 +296,11 @@ class Algebra:
                 if fields[0] == "dim":
                     if dim is not None:
                         raise AlgebraFormatError(f"line {lineno}: duplicate dim")
+                    if len(fields) != 2:
+                        raise AlgebraFormatError(f"line {lineno}: dim needs exactly one value")
                     dim = int(fields[1])
+                    if dim < 0:
+                        raise AlgebraFormatError(f"line {lineno}: dim {dim} is negative")
                     if dim > MAX_DIM:
                         raise AlgebraFormatError(f"line {lineno}: dim {dim} exceeds {MAX_DIM}")
                 elif fields[0] == "label":
@@ -317,7 +326,7 @@ class Algebra:
                         if k in vec:
                             raise AlgebraFormatError(f"line {lineno}: duplicate coordinate {k}")
                         vec[k] = parse_rational(c_text)
-                    products[(i, j)] = vec
+                    products[(i, j)] = (lineno, vec)
                 else:
                     raise AlgebraFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
             except AlgebraFormatError:
@@ -329,11 +338,12 @@ class Algebra:
         for index, (lineno, _) in labels.items():
             if not 0 <= index < dim:
                 raise AlgebraFormatError(f"line {lineno}: label index {index} outside 0..{dim - 1}")
+        for (i, j), (lineno, vec) in products.items():
+            for what, k in (("sc index", i), ("sc index", j), *(("coordinate", k) for k in vec)):
+                if not 0 <= k < dim:
+                    raise AlgebraFormatError(f"line {lineno}: {what} {k} outside 0..{dim - 1}")
         label_list = [labels[i][1] if i in labels else f"e{i}" for i in range(dim)]
-        try:
-            return cls(dim, label_list, products, name=name)
-        except ValueError as exc:
-            raise AlgebraFormatError(str(exc)) from exc
+        return cls(dim, label_list, {ij: vec for ij, (_, vec) in products.items()}, name=name)
 
     @classmethod
     def load(cls, path, name: str = "") -> "Algebra":

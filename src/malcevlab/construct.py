@@ -5,7 +5,7 @@ second-type example, and the reference zoo used by the verification suite.
 
 from __future__ import annotations
 
-from .algebra import Algebra, BilinearForm, DimensionMismatch
+from .algebra import Algebra, BilinearForm, DimensionMismatch, accumulate
 from .rationals import normalize, parse_rational
 from .words import (
     canonicalize,
@@ -259,6 +259,9 @@ def _check_alternative(mult) -> None:
 
     x(xy) = (xx)y is quadratic in x, so checking all basis pairs plus the
     polarized form on all basis triples decides it for every element.
+    Products come from the octonion table itself, not from an Algebra, so
+    this stays an independent check of it; sums cancel through accumulate,
+    which stores no zero.
     """
     dim = len(mult)
 
@@ -267,8 +270,8 @@ def _check_alternative(mult) -> None:
         for i, a in u.items():
             for j, b in v.items():
                 s, k = mult[i][j]
-                out[k] = out.get(k, 0) + a * b * s
-        return {k: c for k, c in out.items() if c}
+                accumulate(out, a * b, ((k, s),))
+        return out
 
     basis = [{i: 1} for i in range(dim)]
     for a in range(dim):
@@ -283,13 +286,9 @@ def _check_alternative(mult) -> None:
             for j in range(dim):
                 ea, eb, ej = basis[a], basis[b], basis[j]
                 lhs = mul_vec(ea, mul_vec(eb, ej))
-                for k, c in mul_vec(eb, mul_vec(ea, ej)).items():
-                    lhs[k] = lhs.get(k, 0) + c
-                rhs_prod = mul_vec(ea, eb)
-                for k, c in mul_vec(eb, ea).items():
-                    rhs_prod[k] = rhs_prod.get(k, 0) + c
-                rhs = mul_vec(rhs_prod, ej)
-                if {k: c for k, c in lhs.items() if c} != {k: c for k, c in rhs.items() if c}:
+                accumulate(lhs, 1, mul_vec(eb, mul_vec(ea, ej)).items())
+                rhs_prod = accumulate(mul_vec(ea, eb), 1, mul_vec(eb, ea).items())
+                if lhs != mul_vec(rhs_prod, ej):
                     raise AssertionError(f"polarized alternative law fails at ({a}, {b}, {j})")
 
 

@@ -25,7 +25,9 @@ before m, all in S, are then fixed.  So in a 4-variable check x2*x4 (axes
 1 and 3) is multiplied dim^2 times, not dim^4 times.  A table holds at most
 dim^|S & (m, d]| <= dim^(n-1) entries for n variables; every catalog
 identity and skew map needs at most dim^3.  Values are sparse coefficient
-dicts of Python ints, whatever the structure constants.
+dicts of Python ints, whatever the structure constants.  The compiled
+program owns these tables, its variable count and its transposition
+bounds: besides it, a scan reads only the model and the filtration.
 
 The scan runs in the algebra's integral model A_D (Algebra.integral_model),
 whose constants are D times the algebra's.  Every term of an identity has
@@ -78,7 +80,9 @@ the pair, g_a reduces to no terms and is not scanned.
 
 Enumeration is lexicographic; parallel runs (unpruned scans only)
 partition the first axis and merge by lexicographically smallest
-counterexample, so reports do not depend on the number of jobs.
+counterexample, so reports do not depend on the number of jobs.  Each
+worker receives the model and the program once and scans one first-axis
+index per task.
 """
 
 from __future__ import annotations
@@ -196,21 +200,25 @@ def _key_axes(variables: frozenset, d: int):
 
 def _compile(terms, n_vars: int, transpositions=()):
     """Build the shared-subterm evaluation program of canonical terms
-    (leaves are axes, as _canonical_terms gives them).
+    (leaves are axes, as _canonical_terms gives them).  The program is the
+    scan's whole state: _scan and the pool workers read everything from it.
 
     Returns (n_slots, var_slot_per_axis, tabled_by_depth, muls_by_depth,
-    weighted, clear_at, lower_by_depth).  tabled_by_depth and muls_by_depth
-    hold the products computable once the d-th variable is bound, children
-    before parents.
+    weighted, clear_at, lower_by_depth); len(var_slot_per_axis) is the
+    number of variables.  tabled_by_depth and muls_by_depth hold the
+    products computable once the d-th variable is bound, children before
+    parents.
     muls_by_depth[d] lists (slot, left, right) for the products over
     exactly the variables 0..d, computed at each visit.
     tabled_by_depth[d] lists (slot, left, right, table, key) for the
-    others, read from and filled into table number `table` at key(idx),
-    their variables after m (_key_axes); clear_at[m] lists the tables
-    emptied whenever the loop at depth m >= 1 starts.  A table with m = 0
-    is keyed by all its variables and is never emptied.  lower_by_depth[b]
-    lists (a, offset) for each of the transpositions (a, b, skew): the
-    scan enters depth b at indices >= idx[a] + offset, offset 1 when skew.
+    others, read from and filled into the dict `table`, created here and
+    empty, at key(idx), their variables after m (_key_axes); clear_at[m]
+    lists the tables emptied whenever the loop at depth m >= 1 starts.  A
+    table with m = 0 is keyed by all its variables and is never emptied:
+    a pool worker fills it once, not once per first-axis index.
+    lower_by_depth[b] lists (a, offset) for each of the transpositions (a,
+    b, skew): the scan enters depth b at indices >= idx[a] + offset,
+    offset 1 when skew.
     A tabled product's children are variables, tabled products or products
     of a lower depth, so the scan computes the tabled products of a depth
     before the others.
@@ -239,7 +247,6 @@ def _compile(terms, n_vars: int, transpositions=()):
     tabled_by_depth = [[] for _ in range(n_vars)]
     muls_by_depth = [[] for _ in range(n_vars)]
     clear_at = [[] for _ in range(n_vars)]
-    n_tables = 0
     for slot, expr in enumerate(exprs):
         if expr[0] == "var":
             var_slot[expr[1]] = slot
@@ -250,10 +257,10 @@ def _compile(terms, n_vars: int, transpositions=()):
             muls_by_depth[d].append((slot, expr[1], expr[2]))
         else:
             m, key_axes = plan
-            tabled_by_depth[d].append((slot, expr[1], expr[2], n_tables, itemgetter(*key_axes)))
+            table: dict = {}
+            tabled_by_depth[d].append((slot, expr[1], expr[2], table, itemgetter(*key_axes)))
             if m:
-                clear_at[m].append(n_tables)
-            n_tables += 1
+                clear_at[m].append(table)
     lower_by_depth = [[] for _ in range(n_vars)]
     for a, b, skew in transpositions:
         lower_by_depth[b].append((a, int(skew)))
@@ -262,38 +269,24 @@ def _compile(terms, n_vars: int, transpositions=()):
             [tuple(low) for low in lower_by_depth])
 
 
-def _tables(program):
-    """Fresh subterm tables bound into the program's tabled products:
-    (tabled_by_depth, clear_at) with each table number replaced by its dict."""
-    _, _, tabled_by_depth, _, _, clear_at, _ = program
-    tables = [{} for _ in range(sum(map(len, tabled_by_depth)))]
-    return ([tuple((slot, l, r, tables[t], key) for slot, l, r, t, key in level)
-             for level in tabled_by_depth],
-            [tuple(tables[t] for t in level) for level in clear_at])
-
-
-def _scan(algebra, program, n_vars, first_indices, filt, tables=None):
+def _scan(model, program, filt, first_indices=None):
     """Evaluate the program over basis tuples, in lexicographic order, up to
     the first with nonzero residual: (indices, residual_dict), or None.
 
     filt is the algebra's filtration (weights, c).  With a class c, each
-    depth after the first iterates only the indices whose weight still
-    leaves the tuple's total below c, counting one for every variable not
-    yet bound; the caller filters the first axis the same way
-    (_first_axis).  Each depth b also starts at the program's lower bound
+    depth iterates only the indices whose weight still leaves the tuple's
+    total below c, counting one for every variable not yet bound.  Each
+    depth b after the first also starts at the program's lower bound
     (lower_by_depth, from the transpositions).  Tuples are visited in
-    lexicographic order either way.
-
-    tables is _tables(program), fresh for this call when None.  A pool
-    worker passes its own to every task: a table with m = 0 is never
-    emptied, so it is filled once per worker, not once per first-axis index.
+    lexicographic order either way.  first_indices replaces the first
+    axis: a pool worker scans one index of it per task.
     """
-    n_slots, var_slot, _, muls_by_depth, weighted, _, lower_by_depth = program
-    tabled_by_depth, clear_at = tables or _tables(program)
+    n_slots, var_slot, tabled_by_depth, muls_by_depth, weighted, clear_at, lower_by_depth = program
+    n_vars = len(var_slot)
     values = [None] * n_slots
     idx = [0] * n_vars
-    every = range(algebra.dim)
-    mul = algebra.multiply_sparse
+    every = range(model.dim)
+    mul = model.multiply_sparse
     last = n_vars - 1
     weights, c = filt
     if c is not None:
@@ -301,6 +294,8 @@ def _scan(algebra, program, n_vars, first_indices, filt, tables=None):
         by_budget = [tuple(i for i, w in enumerate(weights) if w <= b) for b in range(c)]
         # slack[d]: the largest weight sum idx[0..d] may have
         slack = [c - 1 - (last - d) for d in range(n_vars)]
+    if first_indices is None:
+        first_indices = every if c is None else by_budget[max(slack[0], 0)]
 
     def run(d, todo, spent):
         vs = var_slot[d]
@@ -352,14 +347,6 @@ def _scan(algebra, program, n_vars, first_indices, filt, tables=None):
 _UNPRUNED = (None, None)
 
 
-def _first_axis(filt, dim: int, n_vars: int):
-    """First-axis indices that can start a tuple of weight sum below c."""
-    weights, c = filt
-    if c is None:
-        return range(dim)
-    return tuple(i for i, w in enumerate(weights) if w <= c - n_vars)
-
-
 def _rank(indices, dim) -> int:
     r = 0
     for i in indices:
@@ -368,18 +355,19 @@ def _rank(indices, dim) -> int:
 
 
 # Worker-side state, installed once per process by the pool initializer so
-# the algebra and program are pickled per worker, not per task.
+# the model and program are pickled per worker, not per task.  Only
+# unpruned scans use the pool (_use_pool).
 _WORKER_STATE = None
 
 
-def _init_worker(algebra, program, n_vars, filt):
+def _init_worker(model, program):
     global _WORKER_STATE
-    _WORKER_STATE = (algebra, program, n_vars, filt, _tables(program))
+    _WORKER_STATE = (model, program)
 
 
 def _scan_index(i):
-    algebra, program, n_vars, filt, tables = _WORKER_STATE
-    return _scan(algebra, program, n_vars, (i,), filt, tables)
+    model, program = _WORKER_STATE
+    return _scan(model, program, _UNPRUNED, (i,))
 
 
 def _pool_size(jobs: int, dim: int) -> int:
@@ -388,12 +376,12 @@ def _pool_size(jobs: int, dim: int) -> int:
     return min(jobs, os.cpu_count() or 1, dim)
 
 
-def _pool(algebra, program, n_vars, filt, jobs):
+def _pool(model, program, jobs):
     import multiprocessing
 
     return multiprocessing.get_context("fork").Pool(
-        _pool_size(jobs, algebra.dim),
-        initializer=_init_worker, initargs=(algebra, program, n_vars, filt),
+        _pool_size(jobs, model.dim),
+        initializer=_init_worker, initargs=(model, program),
     )
 
 
@@ -410,29 +398,32 @@ def _use_pool(filt, total: int, jobs: int) -> bool:
 def _first_witness(algebra: Algebra, checked: Identity, terms, jobs: int):
     """(indices, residual) at the lexicographically first basis tuple where
     the canonical terms of the checked form are nonzero, or None; the
-    residual is the Element of the algebra."""
-    n_vars = len(checked.variables)
+    residual is the Element of the algebra.  No terms or no basis: None."""
     dim = algebra.dim
+    if not terms or dim == 0:
+        return None
+    n_vars = len(checked.variables)
     transpositions = _transpositions(terms, n_vars)
     model, d = algebra.integral_model()
     terms, scale = _integral_terms(checked, terms, d)
+    # compiled for each check, never cached: its m = 0 tables are never
+    # emptied, so they hold values of the model they were filled on
     program = _compile(terms, n_vars, transpositions)
     # a degree-0 variable adds no factor to any product, so the weight
     # bound holds only when every variable has degree 1
     filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
-    first = _first_axis(filt, dim, n_vars)
 
     if _use_pool(filt, dim ** n_vars, jobs):
         hit = None
         # ordered consumption: the first hit seen is the lexicographically
         # smallest, and breaking lets the context manager kill the rest
-        with _pool(model, program, n_vars, filt, jobs) as pool:
-            for result in pool.imap(_scan_index, first):
+        with _pool(model, program, jobs) as pool:
+            for result in pool.imap(_scan_index, range(dim)):
                 if result is not None:
                     hit = result
                     break
     else:
-        hit = _scan(model, program, n_vars, first, filt)
+        hit = _scan(model, program, filt)
 
     if hit is None:
         return None
@@ -451,12 +442,9 @@ def check_identity(algebra: Algebra, ident: Identity, jobs: int = 1) -> CheckRep
     checked = ident if ident.is_multilinear else linearize(ident)
     terms = _canonical_terms(checked.residual_terms(), checked.variables)
     dim = algebra.dim
-    total = dim ** len(checked.variables)
-    if not terms or dim == 0:
-        return CheckReport("holds", checked, total)
     hit = _first_witness(algebra, checked, terms, jobs)
     if hit is None:
-        return CheckReport("holds", checked, total)
+        return CheckReport("holds", checked, dim ** len(checked.variables))
     indices, residual = hit
     return CheckReport("fails", checked, _rank(indices, dim) + 1, Counterexample(indices, residual))
 
@@ -475,14 +463,11 @@ def check_skew_symmetric(algebra: Algebra, map_ident: Identity, jobs: int = 1) -
         raise IdentityError(f"{map_ident.name}: skew check requires a multilinear map")
     terms = _canonical_terms(map_ident.residual_terms(), map_ident.variables)
     n_vars = len(map_ident.variables)
-    dim = algebra.dim
-    total = dim ** n_vars
-    if not terms or dim == 0:
-        return CheckReport("holds", map_ident, total)
+    total = algebra.dim ** n_vars
     violations = []
     for a in range(n_vars - 1):
         g = _combine(terms + _swapped(terms, n_vars, a, a + 1))
-        hit = _first_witness(algebra, map_ident, g, jobs) if g else None
+        hit = _first_witness(algebra, map_ident, g, jobs)
         if hit is not None:
             violations.append((hit[0], a, hit[1]))
     if not violations:

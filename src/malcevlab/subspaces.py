@@ -27,7 +27,9 @@ leave the calculus, a residual of Subspace.reduce and the structure
 constants of a quotient or of a generated subalgebra, are divided once by
 their known scale.
 
-The power chain is built once per algebra, to where it provably settles.
+The power chain is built once per algebra, to where it provably settles;
+its products with A^1 are formed only for the partners the structure
+constants give.
 Jacobians come from one kernel (_Jacobians) whose pair products live for
 one call: jacobian_span, lie_kernel and power_jacobian_spans form each
 row-pair product once (basis rows read it from the structure constants),
@@ -43,8 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import Algebra, DimensionMismatch, Element, accumulate, unscale
-from .rationals import normalize
+from .algebra import Algebra, DimensionMismatch, Element, accumulate, dense, unscale
 
 
 class NotAnIdealError(ValueError):
@@ -178,14 +179,8 @@ class Subspace:
 
     @property
     def rows(self) -> tuple:
-        out = []
-        for r, p in zip(self._rows, self.pivots):
-            a = r[p]
-            dense = [0] * self.ambient_dim
-            for k, c in r.items():
-                dense[k] = c if a == 1 else normalize(Fraction(c, a))
-            out.append(tuple(dense))
-        return tuple(out)
+        return tuple(tuple(dense(unscale(r, r[p]), self.ambient_dim))
+                     for r, p in zip(self._rows, self.pivots))
 
     @property
     def dim(self) -> int:
@@ -202,10 +197,7 @@ class Subspace:
     def reduce(self, vec) -> list:
         """The exact residual of vec after eliminating the pivot coordinates."""
         r, s = self._echelon()._reduce(_as_sparse(vec, self.ambient_dim))
-        dense = [0] * self.ambient_dim
-        for k, c in unscale(r, s).items():
-            dense[k] = c
-        return dense
+        return dense(unscale(r, s), self.ambient_dim)
 
     def contains(self, vec) -> bool:
         return not self._echelon()._reduce(_as_sparse(vec, self.ambient_dim))[0]
@@ -378,18 +370,31 @@ def stable_powers(algebra: Algebra) -> tuple:
     does not settle the chain: dim 5 with e1e2 = -e4, e1e3 = e2 and e2e4 =
     -e0 has power dimensions 5, 3, 2, 1, 1, 0.
 
+    A^1 A^(n-1) is spanned by the products e_j v over the rows v of
+    A^(n-1), and e_j v is zero unless j is a partner of some key k of v
+    (e_j e_k is a stored structure constant): only those are formed, so an
+    abelian algebra's chain forms no product at any dim.
+
     The chain is built once and cached on the algebra (which is
     immutable); it also ends, unsettled, at MAX_CHAIN powers.
     """
     cached = getattr(algebra, "_power_chain", None)
     if cached is not None:
         return cached
-    mul = algebra.integral_model()[0].multiply_sparse
+    model = algebra.integral_model()[0]
+    mul = model.multiply_sparse
+    partners: dict = {}  # k -> the j with e_j e_k stored
+    for i, j in model.table:
+        partners.setdefault(i, set()).add(j)
+        partners.setdefault(j, set()).add(i)
     chain = [full_space(algebra)]
     while not _settled(chain) and len(chain) < MAX_CHAIN:
         n = len(chain) + 1
         ech = _Echelon(algebra.dim)
-        for i in range(1, n // 2 + 1):
+        for v in chain[n - 2]._rows:
+            for j in sorted(set().union(*(partners.get(k, ()) for k in v))):
+                ech.insert(mul({j: 1}, v))
+        for i in range(2, n // 2 + 1):
             for u in chain[i - 1]._rows:
                 for v in chain[n - i - 1]._rows:
                     prod = mul(u, v)
@@ -489,7 +494,11 @@ def lie_kernel(algebra: Algebra) -> Subspace:
 def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
     """One solution per free column f: x_f = 1, x_p = -row[f] / row[p].
 
-    Every column of a row other than its pivot is free."""
+    Every column of a row other than its pivot is free.  A free column
+    that no row mentions has the solution {f: 1}, and no other solution
+    has an entry in column f: that unit row is already an echelon row
+    with pivot f, so it is stored as it is and only the other solutions
+    are eliminated."""
     solutions = {f: {f: 1} for f in range(dim) if f not in constraints.rows}
     for p, row in constraints.rows.items():
         for f, c in row.items():
@@ -497,7 +506,9 @@ def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
                 solutions[f][p] = Fraction(-c, row[p])
     ech = _Echelon(dim)
     for vec in solutions.values():
-        ech.insert(vec)
+        if len(vec) > 1:
+            ech.insert(vec)
+    ech.rows.update((f, vec) for f, vec in solutions.items() if len(vec) == 1)
     return ech.subspace()
 
 

@@ -3,10 +3,12 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from malcevlab import engine
+from malcevlab.algebra import Algebra
 from malcevlab import (
     free_anticommutative,
     multilinear_base_22,
@@ -41,6 +43,21 @@ def force_pool(monkeypatch):
     # _PARALLEL_THRESHOLD tuples; the octonion checks have 7^4, so lower it
     # to make these tests exercise the pool path
     monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+
+
+def count_products(fn, *args) -> int:
+    """The number of Algebra.multiply_sparse calls that fn(*args) makes."""
+    calls = 0
+    multiply = Algebra.multiply_sparse
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return multiply(self, u, v)
+
+    with mock.patch.object(Algebra, "multiply_sparse", counted):
+        fn(*args)
+    return calls
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

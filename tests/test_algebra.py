@@ -170,6 +170,14 @@ def test_text_format_errors():
     ("dim 2\nlabel 5 foo\nlabel -1 bar\nsc 0 1 -> 1:1\n", "line 2: label index 5 outside 0..1"),
     ("label -1 bar\ndim 2\n", "line 1: label index -1 outside 0..1"),
     ("dim 2\nlabel 0 x\nlabel 0 y\n", "line 3: duplicate label 0 (first on line 2)"),
+    # the dim line takes one value, at least 0; sc indices and coordinates
+    # are checked against it once the whole file is read
+    ("dim 2 junk\n", "line 1: dim needs exactly one value"),
+    ("dim -1\n", "line 1: dim -1 is negative"),
+    ("sc 0 2 -> 1:1\ndim 2\n", "line 1: sc index 2 outside 0..1"),
+    ("dim 2\nsc -1 1 -> 0:1\n", "line 2: sc index -1 outside 0..1"),
+    ("dim 2\nsc 0 1 -> 2:1\n", "line 2: coordinate 2 outside 0..1"),
+    ("dim 2\n\nsc 0 1 -> 1:1 -1:2\n", "line 3: coordinate -1 outside 0..1"),
 ])
 def test_text_format_rejects_unusable_labels(text, message):
     with pytest.raises(AlgebraFormatError) as info:

@@ -1,10 +1,9 @@
-from unittest import mock
-
 import pytest
 
 from malcevlab import classify
 from malcevlab.algebra import Algebra
 from malcevlab.cli import MAX_POWERS, main
+from conftest import count_products
 
 
 def run_cli(capsys, *argv):
@@ -116,14 +115,17 @@ def test_term_count_bound_is_a_parse_error(tmp_path, capsys):
     assert code == 2 and "terms" in stderr and not stdout
 
 
-@pytest.mark.parametrize("labels, message", [
-    ("label 5 foo\nlabel -1 bar\n", "line 2: label index 5 outside 0..1"),
-    ("label 0 x\nlabel 0 y\n", "line 3: duplicate label 0"),
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nlabel 5 foo\nlabel -1 bar\nsc 0 1 -> 1:1\n", "line 2: label index 5 outside 0..1"),
+    ("dim 2\nlabel 0 x\nlabel 0 y\nsc 0 1 -> 1:1\n", "line 3: duplicate label 0"),
+    ("dim 2 junk\nsc 0 1 -> 1:1\n", "line 1: dim needs exactly one value"),
+    ("dim 2\nsc 0 2 -> 1:1\n", "line 2: sc index 2 outside 0..1"),
 ])
-def test_unusable_labels_are_input_errors(tmp_path, capsys, labels, message):
+@pytest.mark.parametrize("command", ["powers", "kernel"])
+def test_unusable_labels_are_input_errors(tmp_path, capsys, command, text, message):
     path = tmp_path / "labels.alg"
-    path.write_text(f"dim 2\n{labels}sc 0 1 -> 1:1\n")
-    code, stdout, stderr = run_cli(capsys, "powers", str(path))
+    path.write_text(text)
+    code, stdout, stderr = run_cli(capsys, command, str(path))
     assert code == 2 and message in stderr and not stdout
 
 
@@ -199,18 +201,14 @@ def test_kernel_and_powers(tmp_path, capsys):
 def test_powers_trims_when_stable(tmp_path, capsys):
     out = tmp_path / "cross.alg"
     run_cli(capsys, "build", "zoo", "cross_product", "-o", str(out))
-    calls = []
-    original = Algebra.multiply_sparse
-
-    def counted(self, u, v):
-        calls.append(1)
-        return original(self, u, v)
-
-    with mock.patch.object(Algebra, "multiply_sparse", counted):
-        code, stdout, _ = run_cli(capsys, "powers", str(out))
+    ran = []
+    products = count_products(lambda: ran.append(run_cli(capsys, "powers", str(out))))
+    code, stdout, _ = ran[0]
     assert code == 0
-    # one chain, stopped at A^2 = A, serves the listing and the verdict
-    assert len(calls) == 9
+    # one chain, stopped at A^2 = A, serves the listing and the verdict:
+    # A^2 = A A forms e_j e_k for the 3 * 2 ordered pairs of distinct basis
+    # vectors, each a stored structure constant
+    assert products == 6
     assert "power.1: 3" in stdout and "power.2: 3" in stdout
     assert "power.3" not in stdout  # stabilized
     assert "nilpotent: no" in stdout
@@ -219,19 +217,15 @@ def test_powers_trims_when_stable(tmp_path, capsys):
 def test_powers_max_stops_building_at_zero_and_is_capped(tmp_path, capsys):
     out = tmp_path / "heis.alg"
     run_cli(capsys, "build", "zoo", "heisenberg", "-o", str(out))
-    calls = []
-    original = Algebra.multiply_sparse
-
-    def counted(self, u, v):
-        calls.append(1)
-        return original(self, u, v)
-
-    with mock.patch.object(Algebra, "multiply_sparse", counted):
-        code, stdout, _ = run_cli(capsys, "powers", str(out), "--max", str(MAX_POWERS))
+    ran = []
+    products = count_products(
+        lambda: ran.append(run_cli(capsys, "powers", str(out), "--max", str(MAX_POWERS))))
+    code, stdout, _ = ran[0]
     assert code == 0
-    # A^3 = 0 ends the chain (A^2 = A A: 3 * 3 products, A^3 = A A^2:
-    # 3 * 1): the later powers are listed, not built
-    assert len(calls) == 3 * 3 + 3 * 1
+    # A^3 = 0 ends the chain (A^2 = A A: p q and q p, the one stored pair
+    # both ways; A^3 = A A^2: z has no partner, no product): the later
+    # powers are listed, not built
+    assert products == 2
     assert "power.2: 1" in stdout and "power.3: 0" in stdout
     assert f"power.{MAX_POWERS}: 0" in stdout and f"power.{MAX_POWERS + 1}" not in stdout
     for k in (MAX_POWERS + 1, 0, -2):

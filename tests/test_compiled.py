@@ -35,7 +35,7 @@ from malcevlab import (
     zoo,
 )
 from malcevlab import engine
-from malcevlab.algebra import Algebra
+from conftest import count_products
 from test_integral import SEEDED_RANDOM, _outcome, rebased
 
 ZOO = zoo()
@@ -183,8 +183,8 @@ class InProcessPool:
     """The pool protocol run in this process by one worker: the
     initializer once, then every task in order."""
 
-    def __init__(self, algebra, program, n_vars, filt, jobs):
-        engine._init_worker(algebra, program, n_vars, filt)
+    def __init__(self, model, program, jobs):
+        engine._init_worker(model, program)
 
     def __enter__(self):
         return self
@@ -196,20 +196,6 @@ class InProcessPool:
         return map(task, items)
 
 
-def _products(check):
-    """(report, multiply_sparse calls) of check()."""
-    calls = []
-    multiply = Algebra.multiply_sparse
-
-    def counting(self, u, v):
-        calls.append(None)
-        return multiply(self, u, v)
-
-    with mock.patch.object(Algebra, "multiply_sparse", counting):
-        report = check()
-    return report, len(calls)
-
-
 @pytest.mark.parametrize("name", ["malcev", "sagle_2_15"])
 def test_a_worker_fills_its_first_axis_tables_once(force_pool, monkeypatch, name):
     # a table keyed after axis 0 does not depend on idx[0]: a worker that
@@ -217,10 +203,12 @@ def test_a_worker_fills_its_first_axis_tables_once(force_pool, monkeypatch, name
     # one serial scan
     algebra, ident = octonion_malcev(), catalog_identity(name)
     check_identity(algebra, ident)  # the algebra caches its power chain
-    serial, serial_products = _products(lambda: check_identity(algebra, ident))
+    reports = []
+    serial_products = count_products(lambda: reports.append(check_identity(algebra, ident)))
     monkeypatch.setattr(engine, "_pool", InProcessPool)
     monkeypatch.setattr(engine, "_WORKER_STATE", None)
-    pooled, pooled_products = _products(lambda: check_identity(algebra, ident, jobs=2))
+    pooled_products = count_products(lambda: reports.append(check_identity(algebra, ident, jobs=2)))
+    serial, pooled = reports
     assert engine._WORKER_STATE is not None
     assert _outcome(pooled) == _outcome(serial)
     assert serial_products > 0 and pooled_products <= serial_products

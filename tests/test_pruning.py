@@ -33,6 +33,7 @@ from malcevlab import (
 from malcevlab import engine
 from malcevlab.construct import ZOO, abelian_algebra, heisenberg_algebra
 from malcevlab.subspaces import Subspace, filtration, full_space, stable_powers
+from conftest import count_products
 from test_subspaces import _zoo_algebra, plateau_algebra
 
 # z has degree 0: it adds no factor to any product, so these are not
@@ -194,8 +195,8 @@ def test_filtration_weights_are_the_dense_containment_counts(animals, name):
 
 
 def test_filtration_of_a_large_abelian_algebra_forms_no_dense_basis():
-    # the chain is preset as stable_powers caches it (its A*A step forms
-    # dim^2 products of its own), so this times the weights alone
+    # the chain is preset as stable_powers caches it, so this times the
+    # weights alone
     assert stable_powers(abelian_algebra(5)) == (full_space(abelian_algebra(5)), Subspace(5))
     algebra = abelian_algebra(4000)
     algebra._power_chain = (full_space(algebra), Subspace(algebra.dim))
@@ -213,19 +214,11 @@ def test_filtration_is_cached_and_agrees_with_is_nilpotent(animals):
 
 
 def test_filtration_stops_at_a_stable_power():
-    # the octonion algebra is simple: A^2 = A, so one square decides
+    # the octonion algebra is simple: A^2 = A, so one square decides; it
+    # forms e_j e_k for the 7 * 6 ordered pairs of distinct basis vectors,
+    # each a stored structure constant
     oct7 = octonion_malcev()
-    calls = []
-    original = Algebra.multiply_sparse
-
-    def counted(self, u, v):
-        calls.append(1)
-        return original(self, u, v)
-
-    with mock.patch.object(Algebra, "multiply_sparse", counted):
-        filtration(oct7)
-        filtration(oct7)
-    assert len(calls) == 49
+    assert count_products(lambda: (filtration(oct7), filtration(oct7))) == 42
 
 
 def test_pruned_scan_matches_plain_scan_past_a_plateau():

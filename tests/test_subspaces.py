@@ -47,6 +47,7 @@ from malcevlab import verify
 from malcevlab.engine import random_element
 from malcevlab.subspaces import MAX_CHAIN, _jacobian_triples, filtration, stable_powers
 from malcevlab.verify import _power_triples, corrupted_psi_entries
+from conftest import count_products
 
 # the benchmark's change of basis and generator triples (rational_rebased)
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -140,28 +141,15 @@ def test_power_chain_values(atilde, base22):
     assert [s.dim for s in power_chain(abelian_algebra(4), 3)] == [4, 0, 0]
 
 
-def _count_products(fn, *args):
-    calls = []
-    original = Algebra.multiply_sparse
-
-    def counted(self, u, v):
-        calls.append(1)
-        return original(self, u, v)
-
-    with mock.patch.object(Algebra, "multiply_sparse", counted):
-        fn(*args)
-    return len(calls)
-
-
 def test_one_power_chain_per_algebra():
     # the stopped chain (the filtration's, A^1..A^5 = 0) and power_chain
-    # read one cached chain: its 1,896 products are made once, either way
+    # read one cached chain: its 692 products are made once, either way
     at = second_type_example()
-    assert _count_products(filtration, at) == 1896
-    assert _count_products(power_chain, at, 5) == 0
+    assert count_products(filtration, at) == 692
+    assert count_products(power_chain, at, 5) == 0
     at = second_type_example()
-    assert _count_products(power_chain, at, 3) + _count_products(power_chain, at, 5) == 1896
-    assert _count_products(stable_powers, at) == 0
+    assert count_products(power_chain, at, 3) + count_products(power_chain, at, 5) == 692
+    assert count_products(stable_powers, at) == 0
     assert power_chain(at, 6)[:5] == list(stable_powers(at))
     assert power_chain(at, 6)[5].is_zero()
 
@@ -210,11 +198,11 @@ def test_a_plateau_does_not_end_the_chain():
 
 def test_power_chain_past_its_end_forms_no_product():
     algebra = plateau_algebra()
-    assert _count_products(power_chain, algebra, 2) > 0  # builds the whole chain
-    assert _count_products(power_chain, algebra, MAX_CHAIN) == 0
+    assert count_products(power_chain, algebra, 2) > 0  # builds the whole chain
+    assert count_products(power_chain, algebra, MAX_CHAIN) == 0
     octonions = octonion_malcev()
     chain = power_chain(octonions, 9)
-    assert _count_products(power_chain, octonions, 9) == 0
+    assert count_products(power_chain, octonions, 9) == 0
     assert len(stable_powers(octonions)) == 2 and all(s == chain[0] for s in chain)
 
 
@@ -323,11 +311,19 @@ def _zoo_algebra(animals, name):
 SMALL_ZOO = ["abelian_3", "cross_product", "heisenberg", "octonion_malcev", "free_2_3", "free_3_3"]
 
 
-@pytest.mark.parametrize("name", SMALL_ZOO + ["octonion_malcev@rebased", "quotient_22@rebased"])
+# heisenberg + abelian(3): kernel columns that no constraint mentions
+HEISENBERG_PLUS_ABELIAN = Algebra(6, None, {(0, 1): {2: 1}}, name="heisenberg+abelian_3")
+
+
+@pytest.mark.parametrize("name", SMALL_ZOO + [
+    "octonion_malcev@rebased", "quotient_22@rebased", HEISENBERG_PLUS_ABELIAN.name])
 def test_lie_kernel_alternation_matches_sympy(animals, name):
     # lie_kernel reads each unordered triple's J once, with the sign of
     # the permutation; the oracle computes every ordered one
-    algebra = _zoo_algebra(animals, name)
+    if name == HEISENBERG_PLUS_ABELIAN.name:
+        algebra = HEISENBERG_PLUS_ABELIAN
+    else:
+        algebra = _zoo_algebra(animals, name)
     assert lie_kernel(algebra) == _sympy_lie_kernel(algebra), name
 
 
@@ -614,8 +610,8 @@ def test_product_counts():
     # third row; the kernel reads e_a e_b from the structure constants
     nonzero_pairs = len(at.table)
     assert nonzero_pairs == 27
-    assert _count_products(jacobian_span, at, full, full, full) == comb(23, 2) + 21 * nonzero_pairs
-    assert _count_products(lie_kernel, at) == 21 * nonzero_pairs
+    assert count_products(jacobian_span, at, full, full, full) == comb(23, 2) + 21 * nonzero_pairs
+    assert count_products(lie_kernel, at) == 21 * nonzero_pairs
     # rational_rebased's 16 triples: the closure's last pass makes the table
     rebased = Rebased(at, seeded_basis(at.dim, STRUCTURE_PATTERN, HALF, random.Random(3)))
     rng = random.Random(TRIPLE_SEED)
@@ -623,7 +619,7 @@ def test_product_counts():
                for _ in range(TRIPLES)]
     algebra = rebased.algebra
     algebra.integral_model()
-    assert _count_products(lambda: [subalgebra_generate(algebra, t) for t in triples]) == 2208
+    assert count_products(lambda: [subalgebra_generate(algebra, t) for t in triples]) == 2208
 
 
 # -- the structure suite's spans in one pass -------------------------------------
@@ -680,7 +676,7 @@ def test_power_jacobian_spans_product_count():
     # pair and third element, 567 <= C(23, 2) + 21 * 27 = 820
     at = second_type_example()
     chain = power_chain(at, 4)
-    assert _count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 21 * len(at.table)
+    assert count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 21 * len(at.table)
 
 
 def test_jacobian_triples_agree_on_basis_and_scaled_rows(animals):
@@ -746,8 +742,20 @@ def test_structure_suite_cross_checks_the_pass():
 
 
 def test_lie_kernel_of_a_large_abelian_algebra_forms_no_product():
-    algebra = abelian_algebra(2000)
+    # at the largest dim a file may declare: no constraint mentions any
+    # column, so every solution is a unit row, stored with no elimination
+    algebra = abelian_algebra(MAX_DIM)
     t0 = time.perf_counter()
-    assert _count_products(lie_kernel, algebra) == 0
+    assert count_products(lie_kernel, algebra) == 0
     assert time.perf_counter() - t0 < 1.0
     assert lie_kernel(algebra) == full_space(algebra)
+
+
+def test_power_chain_at_the_largest_dim_forms_no_product():
+    # A^2 = A A forms e_j v only for the partners j of v's keys, and an
+    # abelian algebra has none
+    algebra = abelian_algebra(MAX_DIM)
+    t0 = time.perf_counter()
+    assert count_products(stable_powers, algebra) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert stable_powers(algebra) == (full_space(algebra), Subspace(MAX_DIM))
