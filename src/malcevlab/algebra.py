@@ -1,9 +1,14 @@
 """Finite-dimensional anticommutative algebras over the rationals.
 
-An Algebra stores a sparse structure-constant table holding only the i < j
-products; e_j e_i = -(e_i e_j) and e_i e_i = 0 are synthesized, never stored,
-so anticommutativity cannot be broken by bad data.  Elements are dense
-coefficient vectors.  All arithmetic is exact.
+An Algebra is given by a sparse structure-constant table holding only the
+i < j products (Algebra.table); e_j e_i = -(e_i e_j) and e_i e_i = 0 follow
+from it, so bad data cannot break anticommutativity.  The constructor also
+builds from it one index, Algebra.partners, holding every nonzero basis
+product in both orientations, keyed by the first factor and then the
+second.  multiply_sparse and basis_product read it; a caller that needs the
+nonzero products of some basis vectors reads it or the table, and nothing
+probes basis pairs.  Elements are dense coefficient vectors.  All arithmetic
+is exact.
 
 Exact products run over Python ints.  An algebra whose structure constants
 have denominators has an integral model (Algebra.integral_model): the same
@@ -116,6 +121,12 @@ def unscale(vec: dict, scale: int) -> dict:
     return {k: normalize(Fraction(c, scale)) for k, c in vec.items()}
 
 
+def format_sparse(vec: dict) -> str:
+    """'k:c ...' over a sparse vector's entries in increasing k: the
+    syntax of a product in the text format's sc lines."""
+    return " ".join(f"{k}:{format_rational(c)}" for k, c in sorted(vec.items()))
+
+
 def dense(vec: dict, width: int) -> list:
     """The coordinate list of a sparse vector of that width."""
     coords = [0] * width
@@ -129,7 +140,9 @@ class Algebra:
 
     products maps (i, j) with i < j to {k: coefficient}; omitted pairs
     multiply to zero.  labels are the human-readable basis names used in
-    reports and the text format.
+    reports and the text format.  table keeps the i < j constants and
+    partners indexes them in both orientations (e_i e_j as partners[i][j]);
+    both are built here, once.
     """
 
     def __init__(self, dim: int, labels=None, products=None, name: str = ""):
@@ -143,29 +156,34 @@ class Algebra:
             raise DimensionMismatch("label count must equal dim")
         self.labels = list(labels)
         table: dict = {}
-        if products:
-            for (i, j), vec in products.items():
-                if not (0 <= i < j < dim):
-                    raise ValueError(f"structure constants need 0 <= i < j < dim, got ({i}, {j})")
-                entries = {k: normalize(c) for k, c in vec.items() if c}
-                for k in entries:
-                    if not 0 <= k < dim:
-                        raise ValueError(f"product coordinate {k} out of range")
-                if entries:
-                    table[(i, j)] = entries
+        partners: dict = {}
+        for (i, j), vec in (products or {}).items():
+            if not (0 <= i < j < dim):
+                raise ValueError(f"structure constants need 0 <= i < j < dim, got ({i}, {j})")
+            entries = {k: normalize(c) for k, c in vec.items() if c}
+            for k in entries:
+                if not 0 <= k < dim:
+                    raise ValueError(f"product coordinate {k} out of range")
+            if entries:
+                table[(i, j)] = entries
+                fwd = tuple(sorted(entries.items()))
+                partners.setdefault(i, {})[j] = fwd
+                partners.setdefault(j, {})[i] = tuple((k, -c) for k, c in fwd)
         self._table = table
-        # Both orientations, precomputed for the evaluation hot path.
-        pairs: dict = {}
-        for (i, j), vec in table.items():
-            fwd = tuple(sorted(vec.items()))
-            pairs[(i, j)] = fwd
-            pairs[(j, i)] = tuple((k, -c) for k, c in fwd)
-        self._pairs = pairs
+        self._partners = partners
 
     @property
     def table(self) -> dict:
         """The stored i < j structure constants (do not mutate)."""
         return self._table
+
+    @property
+    def partners(self) -> dict:
+        """The structure-constant index (do not mutate): partners[i] maps
+        each j with e_i e_j != 0 to that product as sorted (k, c) pairs.
+        Both orientations are stored, e_j e_i as the negation; an i with no
+        nonzero product has no entry."""
+        return self._partners
 
     # -- primitive operations -------------------------------------------
 
@@ -188,18 +206,20 @@ class Algebra:
 
     def basis_product(self, i: int, j: int) -> dict:
         """Sparse product e_i e_j with anticommutativity synthesized."""
-        cell = self._pairs.get((i, j))
+        cell = self._partners.get(i, {}).get(j)
         return dict(cell) if cell else {}
 
     def multiply_sparse(self, u: dict, v: dict) -> dict:
         """Product of sparse coefficient dicts; the engine's workhorse."""
         out: dict = {}
-        pairs = self._pairs
+        partners = self._partners
         for i, a in u.items():
-            for j, b in v.items():
-                cell = pairs.get((i, j))
-                if cell:
-                    accumulate(out, a * b, cell)
+            row = partners.get(i)
+            if row:
+                for j, b in v.items():
+                    cell = row.get(j)
+                    if cell:
+                        accumulate(out, a * b, cell)
         return out
 
     def _from_sparse(self, vec: dict) -> Element:
@@ -273,9 +293,7 @@ class Algebra:
         for i, lab in enumerate(self.labels):
             lines.append(f"label {i} {lab}")
         for (i, j) in sorted(self._table):
-            vec = self._table[(i, j)]
-            entries = " ".join(f"{k}:{format_rational(c)}" for k, c in sorted(vec.items()))
-            lines.append(f"sc {i} {j} -> {entries}")
+            lines.append(f"sc {i} {j} -> {format_sparse(self._table[(i, j)])}")
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:

@@ -56,17 +56,19 @@ class TypeVerdict:
 def anticommutative_sweep(algebra: Algebra):
     """e_i e_j = -(e_j e_i) and e_i e_i = 0 over all basis pairs.
 
-    Structural by construction, but swept anyway so the claim is a checked
-    fact rather than an assumption.  Returns None or a witness pair.
+    Structural by construction, but checked anyway on the structure-constant
+    index (Algebra.partners) that every product reads, so the claim is a
+    checked fact rather than an assumption.  A pair stored in neither
+    orientation is {} both ways and holds, so only the stored pairs are
+    visited: there is no diagonal entry, and each entry's reverse is its
+    negation.  Returns None or the least witness pair (i, j), i <= j.
     """
-    for i in range(algebra.dim):
-        if algebra.basis_product(i, i):
-            return (i, i)
-        for j in range(i + 1, algebra.dim):
-            fwd = algebra.basis_product(i, j)
-            bwd = algebra.basis_product(j, i)
-            if {k: -c for k, c in fwd.items()} != bwd:
-                return (i, j)
+    partners = algebra.partners
+    stored = sorted({(min(i, j), max(i, j)) for i, row in partners.items() for j in row})
+    for i, j in stored:
+        fwd = algebra.basis_product(i, j)
+        if (i == j and fwd) or {k: -c for k, c in fwd.items()} != algebra.basis_product(j, i):
+            return (i, j)
     return None
 
 

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse errors.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse errors
+and output that cannot be written.
 Output is deterministic for a given input and seed: stable line-oriented
 `key: value` pairs, and `verify-paper --format machine-readable` emits that
 form too.  A command takes only the flags it reads: `--jobs` on check,
@@ -14,10 +15,11 @@ the algebra file format, so `kernel` never loads the identity engine and
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .algebra import Algebra, AlgebraFormatError, DimensionMismatch, Element
-from .rationals import format_rational, parse_rational
+from .algebra import Algebra, AlgebraFormatError, DimensionMismatch, Element, format_sparse
+from .rationals import parse_rational
 
 
 class _UsageError(Exception):
@@ -99,9 +101,23 @@ def _build_parser():
     return parser
 
 
+def _write(text: str) -> None:
+    """Write and flush stdout; a failed write (a closed pipe, a full disk)
+    is an input error, exit 2, not a failed check."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: send what is left
+        # to devnull so that it fails no second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _UsageError(f"writing output: {exc}") from exc
+
+
 def _emit(pairs):
-    for key, value in pairs:
-        print(f"{key}: {value}")
+    _write("".join(f"{key}: {value}\n" for key, value in pairs))
 
 
 def _load(path) -> Algebra:
@@ -186,7 +202,7 @@ def _cmd_verify(args) -> int:
 
     results = run_suite(seed=args.seed, jobs=args.jobs, corrupt_psi=args.corrupt_psi)
     render = render_machine if args.fmt == "machine-readable" else render_text
-    sys.stdout.write(render(results, args.seed, args.jobs))
+    _write(render(results, args.seed, args.jobs))
     return 0 if suite_passed(results) else 1
 
 
@@ -199,8 +215,8 @@ def _cmd_kernel(args) -> int:
         ("algebra", f"{args.file} (dim {algebra.dim})"),
         ("kernel-dim", kernel.dim),
     ]
-    for t, row in enumerate(kernel.rows):
-        pairs.append((f"row.{t}", " ".join(format_rational(c) for c in row)))
+    for t, row in enumerate(kernel.sparse_rows):
+        pairs.append((f"row.{t}", format_sparse(row)))
     _emit(pairs)
     return 0
 

@@ -105,23 +105,17 @@ def multilinear_quotient(free: WordAlgebra) -> WordAlgebra:
 
     Words in which every generator appears at most once survive; products
     are the free products with repeated-letter results projected to zero.
+    They are mapped from the stored entries of free.table; kept keeps the
+    free order, so a stored pair a < b stays i < j.
     """
     kept = [w for w in free.words if not has_repeated_letter(w)]
-    index = {w: i for i, w in enumerate(kept)}
+    index = {free.word_index[w]: i for i, w in enumerate(kept)}  # free -> kept
     products: dict = {}
-    for i, wi in enumerate(kept):
-        oi = free.word_index[wi]
-        for j in range(i + 1, len(kept)):
-            wj = kept[j]
-            cell = free.basis_product(oi, free.word_index[wj])
-            entries: dict = {}
-            for k, c in cell.items():
-                target = free.words[k]
-                ti = index.get(target)
-                if ti is not None:
-                    entries[ti] = c
+    for (a, b), cell in free.table.items():
+        if a in index and b in index:
+            entries = {index[k]: c for k, c in cell.items() if k in index}
             if entries:
-                products[(i, j)] = entries
+                products[(index[a], index[b])] = entries
     return WordAlgebra(kept, free.gen_names, products, name=f"{free.name}_multilinear")
 
 
@@ -133,18 +127,11 @@ def central_extension(base: Algebra, psi: BilinearForm, new_label: str = "v") ->
     """
     if psi.dim != base.dim:
         raise DimensionMismatch()
-    dim = base.dim + 1
     v = base.dim
-    products: dict = {}
-    pairs = set(base.table) | set(psi.entries)
-    for (i, j) in pairs:
-        vec = dict(base.table.get((i, j), {}))
-        c = psi.entries.get((i, j))
-        if c:
-            vec[v] = c
-        if vec:
-            products[(i, j)] = vec
-    return Algebra(dim, base.labels + [new_label], products, name=f"{base.name}+{new_label}" if base.name else "")
+    products = {ij: dict(vec) for ij, vec in base.table.items()}
+    for ij, c in psi.entries.items():  # nonzero: the form stores no zero
+        products.setdefault(ij, {})[v] = c
+    return Algebra(v + 1, base.labels + [new_label], products, name=f"{base.name}+{new_label}" if base.name else "")
 
 
 def bilinear_form_from_entries(algebra: WordAlgebra, entries) -> BilinearForm:

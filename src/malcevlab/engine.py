@@ -515,10 +515,19 @@ def random_substitutions_vanish(algebra: Algebra, ident: Identity, rng, samples:
     failing identity a random rational substitution is nonzero outside a
     measure-zero set, so this agrees with the exhaustive verdict in
     practice and serves as its cross-check.
+
+    Each drawn point x_i is evaluated as lambda_i x_i, lambda_i the lcm of
+    its coordinates' denominators, so its coordinates are ints.  Identity
+    enforces one multidegree (d_1, ..., d_n) on every term, so
+    f(lambda_1 x_1, ...) = lambda_1^d_1 ... lambda_n^d_n f(x_1, ...) with a
+    nonzero factor: each sample is zero exactly when it is zero at the
+    rational point drawn, and the draws, hits and verdict are those of the
+    rational points.
     """
     hits = 0
     for _ in range(samples):
-        assignment = {v: random_element(algebra, rng) for v in ident.variables}
+        points = {v: random_element(algebra, rng) for v in ident.variables}
+        assignment = {v: x.scale(lcm(*(c.denominator for c in x.coords))) for v, x in points.items()}
         if not evaluate_identity(algebra, ident, assignment).is_zero():
             hits += 1
     return hits == 0, hits

@@ -13,9 +13,9 @@ change when a vector is multiplied by a nonzero scalar, so:
 
 - the echelon accumulator (_Echelon) eliminates by cross-multiplication
   through algebra.accumulate over sparse int rows, and a Subspace is its
-  frozen view: it shares the rows as they are and densifies and divides
-  each by its pivot only when its canonical Fraction rows (Subspace.rows)
-  are read;
+  frozen view: it shares the rows as they are and divides each by its
+  pivot only when its canonical rows (Subspace.sparse_rows, densified by
+  Subspace.rows) are read;
 - products run in the algebra's integral model A_D
   (Algebra.integral_model) on the stored int rows, and the products in A_D
   span what the products in the algebra span; a product goes straight to
@@ -27,9 +27,11 @@ leave the calculus, a residual of Subspace.reduce and the structure
 constants of a quotient or of a generated subalgebra, are divided once by
 their known scale.
 
-The power chain is built once per algebra, to where it provably settles;
-its products with A^1 are formed only for the partners the structure
-constants give.
+The power chain is built once per algebra, to where it provably settles.
+Products with basis vectors are formed only for the partners of a vector's
+keys (_partners), read from the algebra's structure-constant index
+(Algebra.partners): A^1 A^(n-1) in the chain and the ideal test of a
+quotient.
 Jacobians come from one kernel (_Jacobians) whose pair products live for
 one call: jacobian_span, lie_kernel and power_jacobian_spans form each
 row-pair product once (basis rows read it from the structure constants),
@@ -162,8 +164,8 @@ def _frozen(width: int, rows: tuple, pivots: tuple) -> "Subspace":
 class Subspace:
     """Canonical subspace of Q^ambient_dim, the frozen view of an _Echelon:
     its primitive sparse int rows (_rows, sorted by pivot and unique per
-    span, so == and hash compare them) and pivots.  rows densifies each and
-    divides it by its pivot only when read: the RREF."""
+    span, so == and hash compare them) and pivots.  sparse_rows divides
+    each by its pivot only when read, the RREF, and rows densifies those."""
 
     __slots__ = ("ambient_dim", "_rows", "pivots")
 
@@ -178,9 +180,14 @@ class Subspace:
         return (self.ambient_dim,)
 
     @property
+    def sparse_rows(self) -> tuple:
+        """The canonical RREF rows as sparse dicts (do not mutate): each
+        stored row divided by its pivot."""
+        return tuple(unscale(r, r[p]) for r, p in zip(self._rows, self.pivots))
+
+    @property
     def rows(self) -> tuple:
-        return tuple(tuple(dense(unscale(r, r[p]), self.ambient_dim))
-                     for r, p in zip(self._rows, self.pivots))
+        return tuple(tuple(dense(r, self.ambient_dim)) for r in self.sparse_rows)
 
     @property
     def dim(self) -> int:
@@ -312,6 +319,13 @@ def _jacobian_triples(model: Algebra, rows: list) -> tuple:
     return jac, sorted(triples)
 
 
+def _partners(model: Algebra, v: dict) -> list:
+    """In increasing order, the j with e_j e_k != 0 for some key k of v:
+    e_j v = 0 for every other j."""
+    partners = model.partners
+    return sorted(set().union(*(partners.get(k, ()) for k in v)))
+
+
 def span(algebra: Algebra, gens) -> Subspace:
     """Canonical subspace spanned by the given elements."""
     return Subspace(algebra.dim, gens)
@@ -371,9 +385,9 @@ def stable_powers(algebra: Algebra) -> tuple:
     -e0 has power dimensions 5, 3, 2, 1, 1, 0.
 
     A^1 A^(n-1) is spanned by the products e_j v over the rows v of
-    A^(n-1), and e_j v is zero unless j is a partner of some key k of v
-    (e_j e_k is a stored structure constant): only those are formed, so an
-    abelian algebra's chain forms no product at any dim.
+    A^(n-1), and e_j v is zero unless j is a partner of some key of v
+    (_partners, read from the structure-constant index): only those are
+    formed, so an abelian algebra's chain forms no product at any dim.
 
     The chain is built once and cached on the algebra (which is
     immutable); it also ends, unsettled, at MAX_CHAIN powers.
@@ -383,16 +397,12 @@ def stable_powers(algebra: Algebra) -> tuple:
         return cached
     model = algebra.integral_model()[0]
     mul = model.multiply_sparse
-    partners: dict = {}  # k -> the j with e_j e_k stored
-    for i, j in model.table:
-        partners.setdefault(i, set()).add(j)
-        partners.setdefault(j, set()).add(i)
     chain = [full_space(algebra)]
     while not _settled(chain) and len(chain) < MAX_CHAIN:
         n = len(chain) + 1
         ech = _Echelon(algebra.dim)
         for v in chain[n - 2]._rows:
-            for j in sorted(set().union(*(partners.get(k, ()) for k in v))):
+            for j in _partners(model, v):
                 ech.insert(mul({j: 1}, v))
         for i in range(2, n // 2 + 1):
             for u in chain[i - 1]._rows:
@@ -630,13 +640,20 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
     Returns (quotient, project) where the quotient's basis is the set of
     non-pivot coordinates of the ideal's echelon form and project maps
     elements onto quotient coordinates.
+
+    The ideal test forms row * e_j only for the partners j of the row's
+    keys (_partners); row * e_j = 0 for every other j, so the first
+    escaping (row, basis index) is the one a sweep over all j would find.
+    The quotient's structure constants are the residuals of the stored
+    constants e_i e_j with i and j both in the complement: no product is
+    formed for them.
     """
     if ideal.ambient_dim != algebra.dim:
         raise DimensionMismatch()
     model, d = algebra.integral_model()
     ech = ideal._echelon()
     for t, (row, p) in enumerate(zip(ideal._rows, ideal.pivots)):
-        for j in range(algebra.dim):
+        for j in _partners(model, row):
             prod = model.multiply_sparse(row, {j: 1})
             if prod and ech._reduce(prod)[0]:
                 raise NotAnIdealError(t, j, algebra._from_sparse(unscale(prod, row[p] * d)))
@@ -649,14 +666,14 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
         residual = ideal.reduce(element)
         return Element([residual[c] for c in complement])
 
+    # complement is increasing, so a stored pair i < j keeps a < b
     products: dict = {}
-    for a in range(len(complement)):
-        for b in range(a + 1, len(complement)):
-            prod = model.multiply_sparse({complement[a]: 1}, {complement[b]: 1})
-            if prod:
-                residual, s = ech._reduce(prod)
-                if residual:
-                    products[(a, b)] = unscale({position[c]: x for c, x in residual.items()}, s * d)
+    for (i, j), vec in model.table.items():
+        if i in position and j in position:
+            residual, s = ech._reduce(vec)
+            if residual:
+                products[(position[i], position[j])] = unscale(
+                    {position[c]: x for c, x in residual.items()}, s * d)
     labels = [algebra.labels[c] for c in complement]
     name = f"{algebra.name}/I" if algebra.name else ""
     return Algebra(len(complement), labels, products, name=name), project

@@ -15,8 +15,9 @@ from malcevlab import (
 )
 from malcevlab.algebra import MAX_DIM, accumulate
 from malcevlab.classify import anticommutative_sweep
-from malcevlab.construct import cross_product_algebra, octonion_malcev
+from malcevlab.construct import ZOO, cross_product_algebra, octonion_malcev
 from malcevlab.subspaces import _Jacobians
+from test_integral import rebased
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -56,6 +57,42 @@ def test_structure_constants_reject_bad_shapes():
 def test_anticommutativity_sweep_on_zoo(animals):
     for name, algebra in animals.items():
         assert anticommutative_sweep(algebra) is None, name
+
+
+@pytest.mark.parametrize("name", list(ZOO))
+def test_partners_is_the_table_in_both_orientations(animals, name):
+    # e_i e_j for i < j is the stored constant, for i > j its negation,
+    # and e_i e_i = 0: each nonzero one is partners[i][j], sorted by k
+    for algebra in (animals[name], rebased(animals[name], random.Random(name))):
+        partners = algebra.partners
+        for i in range(algebra.dim):
+            for j in range(algebra.dim):
+                sign = 1 if i < j else -1
+                stored = {} if i == j else algebra.table.get((min(i, j), max(i, j)), {})
+                expected = tuple(sorted((k, sign * c) for k, c in stored.items()))
+                assert partners.get(i, {}).get(j, ()) == expected, (name, i, j)
+        cells = [cell for row in partners.values() for cell in row.values()]
+        assert len(cells) == 2 * len(algebra.table), name
+        assert all(cell and all(c for _, c in cell) for cell in cells), name
+        assert all(partners.values()), name
+        assert anticommutative_sweep(algebra) is None, name
+
+
+def test_anticommutativity_sweep_finds_a_corrupted_index():
+    # the sweep reads the index every product reads: a broken entry shows
+    algebra = octonion_malcev()
+    (i, j), _ = min(algebra.table.items())
+    del algebra.partners[j][i]
+    assert anticommutative_sweep(algebra) == (i, j)
+    assert algebra.multiply_sparse({j: 1}, {i: 1}) == {}
+    algebra = octonion_malcev()
+    algebra.partners[2][2] = ((0, 1),)
+    assert anticommutative_sweep(algebra) == (2, 2)
+    # the least witness pair, whichever orientation is broken
+    algebra = octonion_malcev()
+    (i, j), _ = max(algebra.table.items())
+    del algebra.partners[i][j]
+    assert anticommutative_sweep(algebra) == (i, j)
 
 
 def test_square_is_zero_for_any_element():

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from malcevlab import (
     product_subspace,
     semiprime_witness,
 )
+from malcevlab.algebra import MAX_DIM
 from malcevlab.construct import abelian_algebra, cross_product_algebra, free_anticommutative
 
 
@@ -39,6 +41,15 @@ def test_zoo_classification(name, animals):
     assert verdict.malcev is malcev, name
     assert verdict.second_type is second, name
     assert verdict.first_type is first, name
+
+
+def test_classify_of_the_largest_abelian_algebra_takes_under_a_second():
+    # the sweep visits the stored structure constants, and there are none
+    algebra = abelian_algebra(MAX_DIM)
+    t0 = time.perf_counter()
+    verdict = classify(algebra)
+    assert time.perf_counter() - t0 < 1.0
+    assert verdict.lie and verdict.first_type
 
 
 def test_example_witnesses(atilde):

@@ -1,9 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+import time
+
 import pytest
 
-from malcevlab import classify
-from malcevlab.algebra import Algebra
+from malcevlab import classify, lie_kernel, second_type_example
+from malcevlab.algebra import MAX_DIM, Algebra, dense
 from malcevlab.cli import MAX_POWERS, main
+from malcevlab.rationals import parse_rational
+from malcevlab.subspaces import Subspace
 from conftest import count_products
+from test_integral import rebased
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +205,70 @@ def test_kernel_and_powers(tmp_path, capsys):
     assert "power.2: 19" in stdout
     assert "power.5: 0" in stdout
     assert "class: 5" in stdout
+
+
+def _kernel_rows(stdout) -> list:
+    """The sparse rows of `kernel` output: 'row.t: k:c ...', the syntax of
+    a product in an sc line."""
+    rows = []
+    for line in stdout.splitlines():
+        key, _, value = line.partition(": ")
+        if key.startswith("row."):
+            assert key == f"row.{len(rows)}"
+            rows.append({int(k): parse_rational(c) for k, _, c in (e.partition(":") for e in value.split())})
+    return rows
+
+
+@pytest.mark.parametrize("rebase", [False, True])
+def test_kernel_rows_parse_back_to_the_kernel(tmp_path, capsys, rebase):
+    algebra = second_type_example()
+    if rebase:  # rows with fractions
+        algebra = rebased(algebra, random.Random(5))
+    path = tmp_path / "a.alg"
+    algebra.save(path)
+    code, stdout, _ = run_cli(capsys, "kernel", str(path))
+    assert code == 0 and "kernel-dim: 13" in stdout
+    kernel = lie_kernel(algebra)
+    rows = _kernel_rows(stdout)
+    assert rows == list(kernel.sparse_rows)
+    assert Subspace(algebra.dim, [dense(r, algebra.dim) for r in rows]) == kernel
+    if rebase:
+        assert any("/" in line for line in stdout.splitlines() if line.startswith("row."))
+
+
+def test_kernel_of_the_largest_abelian_file_prints_sparse_rows(tmp_path, capped_python):
+    path = tmp_path / "abelian.alg"
+    path.write_text(f"dim {MAX_DIM}\n")
+    t0 = time.perf_counter()
+    done = capped_python("-m", "malcevlab.cli", "kernel", str(path))
+    assert time.perf_counter() - t0 < 10.0
+    assert done.returncode == 0, done.stderr
+    assert f"kernel-dim: {MAX_DIM}\n" in done.stdout
+    assert _kernel_rows(done.stdout) == [{i: 1} for i in range(MAX_DIM)]
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+def test_a_stdout_write_error_is_an_input_error(tmp_path, child_env, sink):
+    # exit 2 with one error line, not a traceback with exit 1 (a failed
+    # check), and no second error when the interpreter flushes stdout at
+    # exit: it is buffered, as by default
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        fd = os.open(sink, os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+    path = tmp_path / "atilde.alg"
+    second_type_example().save(path)
+    env = {k: v for k, v in child_env.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run([sys.executable, "-m", "malcevlab.cli", "kernel", str(path)],
+                              stdout=fd, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(fd)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: writing output:") and done.stderr.count("\n") == 1
 
 
 def test_powers_trims_when_stable(tmp_path, capsys):

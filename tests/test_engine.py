@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import random
 import types
+from unittest import mock
 
 import pytest
 
@@ -23,6 +24,7 @@ from malcevlab.construct import (
     octonion_malcev,
 )
 from malcevlab.engine import evaluate_identity, random_element, random_substitutions_vanish
+from test_integral import rebased
 
 
 def test_jacobi_holds_on_lie_instances():
@@ -133,6 +135,40 @@ def test_multilinear_completeness_crosscheck():
         rng = random.Random(f"complete:{algebra.name}:{name}")
         all_zero, hits = random_substitutions_vanish(algebra, ident, rng, samples=100)
         assert all_zero is expected, (algebra.name, name, hits)
+
+
+def test_integer_sample_points_give_the_rational_hits(animals):
+    # random_substitutions_vanish evaluates each drawn point times the lcm
+    # of its denominators; the reference below evaluates the points as drawn
+    algebras = dict(animals)
+    algebras["octonion_malcev@rebased"] = rebased(animals["octonion_malcev"], random.Random(7))
+    assert algebras["octonion_malcev@rebased"].integral_model()[1] > 1
+    evaluate = engine.evaluate_identity
+    points = []
+
+    def recorded(algebra, ident, assignment):
+        points.extend(assignment.values())
+        return evaluate(algebra, ident, assignment)
+
+    hits_seen = set()
+    for ident_name, entry in builtin_catalog().items():
+        ident = entry.identity
+        if ident.is_multilinear:
+            continue
+        for name, algebra in algebras.items():
+            seed = f"{ident_name}:{name}"
+            rng = random.Random(seed)
+            rational_hits = 0
+            for _ in range(25):
+                assignment = {v: random_element(algebra, rng) for v in ident.variables}
+                if not evaluate_identity(algebra, ident, assignment).is_zero():
+                    rational_hits += 1
+            with mock.patch.object(engine, "evaluate_identity", recorded):
+                all_zero, hits = random_substitutions_vanish(algebra, ident, random.Random(seed), 25)
+            assert (all_zero, hits) == (rational_hits == 0, rational_hits), seed
+            hits_seen.add(hits)
+    assert points and all(type(c) is int for x in points for c in x.coords)
+    assert 0 in hits_seen and 25 in hits_seen
 
 
 def test_skew_check_rejects_non_multilinear():

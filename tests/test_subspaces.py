@@ -1,4 +1,5 @@
 import copy
+import functools
 import pickle
 import random
 import sys
@@ -35,7 +36,7 @@ from malcevlab import (
     second_type_example,
     subalgebra_generate,
 )
-from malcevlab.algebra import MAX_DIM
+from malcevlab.algebra import MAX_DIM, dense
 from malcevlab.construct import (
     ZOO,
     abelian_algebra,
@@ -45,9 +46,10 @@ from malcevlab.construct import (
 )
 from malcevlab import verify
 from malcevlab.engine import random_element
-from malcevlab.subspaces import MAX_CHAIN, _jacobian_triples, filtration, stable_powers
+from malcevlab.subspaces import MAX_CHAIN, _jacobian_triples, _partners, filtration, stable_powers
 from malcevlab.verify import _power_triples, corrupted_psi_entries
 from conftest import count_products
+from test_integral import rebased
 
 # the benchmark's change of basis and generator triples (rational_rebased)
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -366,6 +368,59 @@ def test_quotient_rejects_non_ideal(atilde):
     not_ideal = span(atilde, [atilde.basis_element(0)])
     with pytest.raises(NotAnIdealError):
         quotient_algebra(atilde, not_ideal)
+
+
+def _first_escape(algebra, space):
+    """(row index, basis index, row * e_j) for the first row * e_j outside
+    space, probing every basis vector in order; None for an ideal."""
+    for t, row in enumerate(space.rows):
+        for j in range(algebra.dim):
+            prod = algebra.multiply(Element(row), algebra.basis_element(j))
+            if not space.contains(prod):
+                return t, j, prod
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _ideal_test_algebra(name, rebase):
+    algebra = ZOO[name]()
+    return rebased(algebra, random.Random(name)) if rebase else algebra
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(list(ZOO)), rebase=st.booleans(), data=st.data())
+def test_the_ideal_test_reports_the_first_escape_a_probe_finds(name, rebase, data):
+    # the ideal test forms row * e_j only for the partners j of the row's
+    # keys; every other product is zero, so the first escape is the same
+    algebra = _ideal_test_algebra(name, rebase)
+    dim = algebra.dim
+    coords = st.lists(st.tuples(st.integers(0, dim - 1), st.integers(-3, 3)), max_size=3)
+    vectors = data.draw(st.lists(coords, min_size=1, max_size=3))
+    space = span(algebra, [Element(dense(dict(v), dim)) for v in vectors])
+    expected = _first_escape(algebra, space)
+    if expected is None:
+        quotient, _ = quotient_algebra(algebra, space)
+        assert quotient.dim == dim - space.dim
+        return
+    with pytest.raises(NotAnIdealError) as info:
+        quotient_algebra(algebra, space)
+    err = info.value
+    assert (err.row_index, err.basis_index, err.escaping) == expected
+
+
+def test_quotient_forms_no_product_for_its_table(atilde):
+    # the table is the residuals of the stored constants among the
+    # complement: the 6 products are the ideal test's, row * e_j for the
+    # partners j of each of the kernel's 13 rows (probing every basis
+    # vector and every complement pair would form 13 * 23 + C(10, 2) = 344)
+    kernel = lie_kernel(atilde)
+    assert count_products(quotient_algebra, atilde, kernel) == 6
+    assert sum(len(_partners(atilde, r)) for r in kernel._rows) == 6
+    quotient, project = quotient_algebra(atilde, kernel)
+    for i in range(atilde.dim):
+        for j in range(i + 1, atilde.dim):
+            u, v = atilde.basis_element(i), atilde.basis_element(j)
+            assert project(atilde.multiply(u, v)) == quotient.multiply(project(u), project(v))
 
 
 def test_quotient_by_kernel_is_nilpotent_lie(atilde):
