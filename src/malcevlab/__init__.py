@@ -31,8 +31,9 @@ _EXPORTS = {
         "octonion_malcev", "second_type_example", "zoo",
     ),
     "engine": (
-        "CheckReport", "Counterexample", "check_identity", "check_skew_symmetric",
-        "evaluate_identity", "random_element", "random_substitutions_vanish",
+        "CheckReport", "Counterexample", "ScanBudgetExceeded", "check_identity",
+        "check_skew_symmetric", "evaluate_identity", "random_element",
+        "random_substitutions_vanish",
     ),
     "identities": (
         "CatalogEntry", "Identity", "IdentityError", "IdentityParseError",

@@ -296,12 +296,14 @@ _COMMANDS = {
 }
 
 
-def _identity_error():
+def _layer_errors():
     # evaluated only when an exception reaches main's handler, so a command
-    # that never parses an identity never loads the identities layer
+    # that never parses an identity never loads the identities layer; only a
+    # loaded engine can have raised ScanBudgetExceeded, so none is loaded here
     from .identities import IdentityError
 
-    return IdentityError
+    engine = sys.modules.get(f"{__package__}.engine")
+    return (IdentityError, engine.ScanBudgetExceeded) if engine else (IdentityError,)
 
 
 def main(argv=None) -> int:
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (_UsageError, AlgebraFormatError, DimensionMismatch, _identity_error()) as exc:
+    except (_UsageError, AlgebraFormatError, DimensionMismatch, *_layer_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ second-type example, and the reference zoo used by the verification suite.
 
 from __future__ import annotations
 
-from .algebra import Algebra, BilinearForm, DimensionMismatch, accumulate
+from .algebra import Algebra, BilinearForm, DimensionMismatch
 from .rationals import normalize, parse_rational
 from .words import (
     canonicalize,
@@ -63,7 +63,9 @@ def free_anticommutative(n_gens: int, nil_class: int, cap: int = DEFAULT_WORD_CA
     < nil_class).
 
     The basis size is precomputed from the counting recurrence and guarded
-    by `cap` before any enumeration happens.
+    by `cap` before any enumeration happens.  The basis is in ascending
+    degree order, so a row of the product table ends at its first partner
+    whose degree brings the product to nil_class: every later one does too.
     """
     if n_gens < 1:
         raise ValueError("need at least one generator")
@@ -84,17 +86,17 @@ def free_anticommutative(n_gens: int, nil_class: int, cap: int = DEFAULT_WORD_CA
         )
     by_deg = words_by_degree(n_gens, max_degree)
     words = [w for group in by_deg for w in group]
+    degrees = [d for d, group in enumerate(by_deg, start=1) for _ in group]
     index = {w: i for i, w in enumerate(words)}
     gen_names = [f"x{i + 1}" for i in range(n_gens)]
 
     products: dict = {}
     for i, wi in enumerate(words):
-        di = degree(wi)
+        room = nil_class - degrees[i]  # a partner of this degree or more is truncated
         for j in range(i + 1, len(words)):
-            wj = words[j]
-            if di + degree(wj) >= nil_class:
-                continue
-            sign, canon = canonicalize((wi, wj))
+            if degrees[j] >= room:
+                break
+            sign, canon = canonicalize((wi, words[j]))
             if sign:
                 products[(i, j)] = {index[canon]: sign}
     return WordAlgebra(words, gen_names, products, name=f"free_{n_gens}_{nil_class}")
@@ -244,39 +246,42 @@ def _octonion_table():
 def _check_alternative(mult) -> None:
     """Validate the table against the left and right alternative laws.
 
-    x(xy) = (xx)y is quadratic in x, so checking all basis pairs plus the
-    polarized form on all basis triples decides it for every element.
-    Products come from the octonion table itself, not from an Algebra, so
-    this stays an independent check of it; sums cancel through accumulate,
-    which stores no zero.
+    x(xy) = (xx)y is quadratic in x and linear in y, so over Q it holds for
+    all elements iff its polarization a(bj) + b(aj) = (ab + ba)j holds on
+    all basis triples; likewise (yx)x = y(xx) and (ja)b + (jb)a = j(ab + ba).
+    Both polarized laws are symmetric in a and b, and at a = b each is twice
+    the law itself, so the triples with a <= b decide both laws.  Each side
+    is a sum of two signed units (s, k), s * e_k, multiplied straight from
+    the table (not through an Algebra, so this stays an independent check
+    of it) and compared as sorted (k, s) pairs with zeros cancelled.
     """
+    def unit_times(a, u):  # e_a * u
+        s, k = u
+        c, m = mult[a][k]
+        return s * c, m
+
+    def times_unit(u, b):  # u * e_b
+        s, k = u
+        c, m = mult[k][b]
+        return s * c, m
+
+    def plus(u, v):
+        (s, k), (t, m) = u, v
+        if k == m:
+            return ((k, s + t),) if s + t else ()
+        return ((k, s), (m, t)) if k < m else ((m, t), (k, s))
+
     dim = len(mult)
-
-    def mul_vec(u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                s, k = mult[i][j]
-                accumulate(out, a * b, ((k, s),))
-        return out
-
-    basis = [{i: 1} for i in range(dim)]
     for a in range(dim):
-        for b in range(dim):
-            ea, eb = basis[a], basis[b]
-            if mul_vec(ea, mul_vec(ea, eb)) != mul_vec(mul_vec(ea, ea), eb):
-                raise AssertionError(f"left alternative law fails at ({a}, {b})")
-            if mul_vec(mul_vec(eb, ea), ea) != mul_vec(eb, mul_vec(ea, ea)):
-                raise AssertionError(f"right alternative law fails at ({a}, {b})")
-    for a in range(dim):
-        for b in range(dim):
+        for b in range(a, dim):
+            ab, ba = mult[a][b], mult[b][a]
             for j in range(dim):
-                ea, eb, ej = basis[a], basis[b], basis[j]
-                lhs = mul_vec(ea, mul_vec(eb, ej))
-                accumulate(lhs, 1, mul_vec(eb, mul_vec(ea, ej)).items())
-                rhs_prod = accumulate(mul_vec(ea, eb), 1, mul_vec(eb, ea).items())
-                if lhs != mul_vec(rhs_prod, ej):
-                    raise AssertionError(f"polarized alternative law fails at ({a}, {b}, {j})")
+                if (plus(unit_times(a, mult[b][j]), unit_times(b, mult[a][j]))
+                        != plus(times_unit(ab, j), times_unit(ba, j))):
+                    raise AssertionError(f"left alternative law fails at ({a}, {b}, {j})")
+                if (plus(times_unit(mult[j][a], b), times_unit(mult[j][b], a))
+                        != plus(unit_times(j, ab), unit_times(j, ba))):
+                    raise AssertionError(f"right alternative law fails at ({a}, {b}, {j})")
 
 
 def octonion_malcev() -> Algebra:

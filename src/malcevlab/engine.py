@@ -47,10 +47,12 @@ variable once, so at a tuple whose weights sum to the nilpotency class c
 or more (A^c = 0) every term is exactly zero, and the enumeration never
 descends into such tuples.  A non-nilpotent algebra has no class, and a
 variable of degree 0 (which linearization keeps) adds no factor to a
-product; in either case every tuple is evaluated.  Skipped tuples
-contribute nothing, so the verdict, the first counterexample and
-tuples_checked (the lexicographic rank of the decision point, or dim^n
-when the identity holds) are those of the plain scan over all dim^n tuples.
+product; in either case every tuple is evaluated, and such a scan of
+more than MAX_UNPRUNED_TUPLES tuples raises ScanBudgetExceeded before it
+starts.  Skipped tuples contribute nothing, so the verdict, the first
+counterexample and tuples_checked (the lexicographic rank of the decision
+point, or dim^n when the identity holds) are those of the plain scan over
+all dim^n tuples.
 
 Tuples that cannot be the first witness are skipped too.  check_identity
 finds the axis transpositions (a b), a < b, that map the canonical terms
@@ -395,25 +397,46 @@ def _use_pool(filt, total: int, jobs: int) -> bool:
     return jobs > 1 and filt[1] is None and total >= _PARALLEL_THRESHOLD
 
 
+class ScanBudgetExceeded(ValueError):
+    """An unpruned scan would visit more than MAX_UNPRUNED_TUPLES tuples."""
+
+
+# The most basis tuples a scan without weight pruning may face (dim ** n).
+# The tests, the verification suite and the benchmark scan at most 23^4 =
+# 279,841 such tuples; the largest scan on record, 810,000 (4 variables on
+# the 30-dim direct sum octonion_malcev + second_type_23), took 2-3 s, so a
+# scan at this bound would take about half a minute.
+MAX_UNPRUNED_TUPLES = 10_000_000
+
+
 def _first_witness(algebra: Algebra, checked: Identity, terms, jobs: int):
     """(indices, residual) at the lexicographically first basis tuple where
     the canonical terms of the checked form are nonzero, or None; the
-    residual is the Element of the algebra.  No terms or no basis: None."""
+    residual is the Element of the algebra.  No terms or no basis: None.
+    A scan without a class (or of a form with a degree-0 variable) faces
+    all dim ** n tuples: above MAX_UNPRUNED_TUPLES it raises
+    ScanBudgetExceeded before it starts."""
     dim = algebra.dim
     if not terms or dim == 0:
         return None
     n_vars = len(checked.variables)
+    # a degree-0 variable adds no factor to any product, so the weight
+    # bound holds only when every variable has degree 1
+    filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
+    total = dim ** n_vars
+    if filt[1] is None and total > MAX_UNPRUNED_TUPLES:
+        raise ScanBudgetExceeded(
+            f"{checked.name}: an unpruned scan of {total} basis tuples ({dim}^{n_vars}) "
+            f"exceeds the bound of {MAX_UNPRUNED_TUPLES}"
+        )
     transpositions = _transpositions(terms, n_vars)
     model, d = algebra.integral_model()
     terms, scale = _integral_terms(checked, terms, d)
     # compiled for each check, never cached: its m = 0 tables are never
     # emptied, so they hold values of the model they were filled on
     program = _compile(terms, n_vars, transpositions)
-    # a degree-0 variable adds no factor to any product, so the weight
-    # bound holds only when every variable has degree 1
-    filt = filtration(algebra) if checked.is_multilinear else _UNPRUNED
 
-    if _use_pool(filt, dim ** n_vars, jobs):
+    if _use_pool(filt, total, jobs):
         hit = None
         # ordered consumption: the first hit seen is the lexicographically
         # smallest, and breaking lets the context manager kill the rest

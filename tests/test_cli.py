@@ -9,6 +9,7 @@ import pytest
 from malcevlab import classify, lie_kernel, second_type_example
 from malcevlab.algebra import MAX_DIM, Algebra, dense
 from malcevlab.cli import MAX_POWERS, main
+from malcevlab.engine import MAX_UNPRUNED_TUPLES
 from malcevlab.rationals import parse_rational
 from malcevlab.subspaces import Subspace
 from conftest import count_products
@@ -245,6 +246,24 @@ def test_kernel_of_the_largest_abelian_file_prints_sparse_rows(tmp_path, capped_
     assert done.returncode == 0, done.stderr
     assert f"kernel-dim: {MAX_DIM}\n" in done.stdout
     assert _kernel_rows(done.stdout) == [{i: 1} for i in range(MAX_DIM)]
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["check", "jacobi"], ["check", "malcev", "--jobs", "2"]])
+def test_an_unpruned_scan_of_the_largest_file_is_refused(tmp_path, capped_python, argv):
+    # cross_product + abelian(9,997): not nilpotent, so no pruning, and
+    # dim^3 = 10^12 tuples
+    path = tmp_path / "cross.alg"
+    path.write_text(f"dim {MAX_DIM}\nsc 0 1 -> 2:1\nsc 1 2 -> 0:1\nsc 0 2 -> 1:-1\n")
+    command, *rest = argv
+    t0 = time.perf_counter()
+    done = capped_python("-m", "malcevlab.cli", command, str(path), *rest)
+    assert time.perf_counter() - t0 < 10.0
+    assert done.returncode == 2, done.stderr
+    assert not done.stdout
+    (line,) = done.stderr.splitlines()
+    n = 3 if rest[:1] != ["malcev"] else 4
+    assert line.startswith("error: ") and line.endswith(
+        f" {MAX_DIM ** n} basis tuples ({MAX_DIM}^{n}) exceeds the bound of {MAX_UNPRUNED_TUPLES}")
 
 
 @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])

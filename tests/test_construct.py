@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from malcevlab import construct
@@ -16,11 +19,13 @@ from malcevlab import (
 )
 from malcevlab.algebra import BilinearForm
 from malcevlab.construct import (
+    WordAlgebra,
     _check_alternative,
     _octonion_table,
     build_descriptor,
     heisenberg_algebra,
 )
+from malcevlab.words import canonicalize, degree
 
 
 def test_free_dimensions():
@@ -54,6 +59,75 @@ def test_free_cap_guard_counts_no_further_than_the_cap_needs():
     line = free_anticommutative(1, 2 ** 70)
     assert line.dim == 1 and line.labels == ["x1"] and line.basis_product(0, 0) == {}
     assert free_anticommutative(1, 2).to_text() == line.to_text()
+
+
+def _free_reference(n_gens: int, nil_class: int) -> WordAlgebra:
+    """free_anticommutative's algebra from every pair i < j of its basis,
+    each word's degree recomputed."""
+    free = free_anticommutative(n_gens, nil_class)
+    words = free.words
+    products = {}
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            if degree(words[i]) + degree(words[j]) < nil_class:
+                sign, canon = canonicalize((words[i], words[j]))
+                if sign:
+                    products[(i, j)] = {free.word_index[canon]: sign}
+    return WordAlgebra(words, free.gen_names, products, name=free.name)
+
+
+@pytest.mark.parametrize("n_gens", [1, 2, 3, 4])
+@pytest.mark.parametrize("nil_class", [2, 3, 4, 5])
+def test_free_table_matches_the_all_pairs_reference(n_gens, nil_class):
+    free = free_anticommutative(n_gens, nil_class)
+    reference = _free_reference(n_gens, nil_class)
+    assert list(free.table.items()) == list(reference.table.items())  # insertion order too
+    assert free.to_text() == reference.to_text()
+
+
+def test_free_canonicalizes_only_pairs_below_the_class(monkeypatch):
+    # the degrees come from the grouping by degree; a row ends at the class
+    calls = []
+
+    def counted(tree):
+        calls.append(tuple(degree(w) for w in tree))
+        return canonicalize(tree)
+
+    def recomputed(tree):
+        raise AssertionError("recomputed a word's degree")
+
+    monkeypatch.setattr(construct, "canonicalize", counted)
+    monkeypatch.setattr(construct, "degree", recomputed)
+    free_anticommutative(4, 4)
+    assert len(calls) == 30
+    assert sorted(set(calls)) == [(1, 1), (1, 2)]
+    assert calls.count((1, 1)) == 6 and calls.count((1, 2)) == 24
+
+
+# sha256 of to_text() for each ZOO entry: the constructions' output, pinned
+# byte for byte
+ZOO_TEXT_SHA256 = {
+    "abelian_1": "299567bbbcc3e879eabf42ae2b2d293ebebaa5a0791da1e5994c6a3dc0f25868",
+    "abelian_2": "356159c3c7b9f4a670b48f8c8ce195186f3672b2fdb4d6b43d78e542e2395ace",
+    "abelian_3": "16407b468fa6d8082b2984db6b4956b449469c90846ab34ac98821ed47d10e7b",
+    "abelian_4": "4f73dd3e6eef431de619fb5da2d62a4479d788bf7bab2b73bdf518336807980a",
+    "abelian_5": "86a7624051410c40a2c4bb8d496c44b24c80003fc05934f3e347eaa87b7843cb",
+    "cross_product": "c4135c0a3fee021aa6aafd54b94b683bbf1f59be23119869e1b19b53bbf63c78",
+    "heisenberg": "ac6d56689ce72325f14f452622c7e0a36396c081dbe10e46b933133c6ba344cd",
+    "octonion_malcev": "3f29594c92d39d574780dd0a301e92ec2807db3bcf35644b405d7b3b422a08f0",
+    "second_type_23": "8af5ed011df8f6e742c6c52eb843ce406d238deec7ba6af0aa5bf6791e88b3d7",
+    "quotient_22": "406c637ccf7f5a2f4e4b1c63713e06e13ffa57f3d7e1e6d1d2b63c0592699771",
+    "free_2_3": "eb21145e27cde374712520e3d1713c3056ecdaaa603bc6ca203c597151f17f19",
+    "free_3_3": "e1f388896239aad7999ad087ee9afd18df663e3ba6eea4c4211323337c64bdff",
+    "free_3_5": "de98af693a6a005e83b0ab7370ad8fef5b545acf40b55089c979f8099aafc660",
+}
+
+
+@pytest.mark.parametrize("name", list(ZOO_TEXT_SHA256))
+def test_zoo_text_is_unchanged(name):
+    assert list(construct.ZOO) == list(ZOO_TEXT_SHA256)
+    text = construct.ZOO[name]().to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == ZOO_TEXT_SHA256[name]
 
 
 def test_freeness_no_jacobi(free44):
@@ -248,6 +322,88 @@ def test_alternative_check_has_teeth():
     broken[1][2] = (-sign, k)
     with pytest.raises(AssertionError):
         _check_alternative(broken)
+
+
+# left alternative but not right alternative (found by search)
+LEFT_NOT_RIGHT = [[(1, 2), (1, 1), (1, 2)], [(1, 0), (1, 1), (1, 0)], [(1, 2), (1, 1), (1, 2)]]
+
+
+def _transpose(mult):
+    return [list(column) for column in zip(*mult)]
+
+
+def _alternative_failures(mult) -> set:
+    """Every (law, a, b, j) at which a polarized alternative law fails,
+    over all basis triples, with dict vectors."""
+    def mul(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for i, x in u.items():
+            for j, y in v.items():
+                s, k = mult[i][j]
+                out[k] = out.get(k, 0) + s * x * y
+        return {k: c for k, c in out.items() if c}
+
+    def add(u: dict, v: dict) -> dict:
+        return {k: c for k in u.keys() | v.keys() if (c := u.get(k, 0) + v.get(k, 0))}
+
+    dim = len(mult)
+    e = [{i: 1} for i in range(dim)]
+    failures = set()
+    for a in range(dim):
+        for b in range(dim):
+            ab_ba = add(mul(e[a], e[b]), mul(e[b], e[a]))
+            for j in range(dim):
+                if add(mul(e[a], mul(e[b], e[j])), mul(e[b], mul(e[a], e[j]))) != mul(ab_ba, e[j]):
+                    failures.add(("left", a, b, j))
+                if add(mul(mul(e[j], e[a]), e[b]), mul(mul(e[j], e[b]), e[a])) != mul(e[j], ab_ba):
+                    failures.add(("right", a, b, j))
+    return failures
+
+
+def _check_failure(mult):
+    """None if _check_alternative passes mult, else (law, a, b, j) it names."""
+    try:
+        _check_alternative(mult)
+    except AssertionError as exc:
+        match = re.fullmatch(r"(left|right) alternative law fails at \((\d+), (\d+), (\d+)\)", str(exc))
+        assert match, str(exc)
+        law, *indices = match.groups()
+        return (law, *map(int, indices))
+    return None
+
+
+def test_alternative_check_tells_the_laws_apart():
+    with pytest.raises(AssertionError, match="^right alternative law fails"):
+        _check_alternative(LEFT_NOT_RIGHT)
+    with pytest.raises(AssertionError, match="^left alternative law fails"):
+        _check_alternative(_transpose(LEFT_NOT_RIGHT))
+    assert {law for law, *_ in _alternative_failures(LEFT_NOT_RIGHT)} == {"right"}
+
+
+def _single_sign_flips(mult):
+    for i in range(len(mult)):
+        for j in range(len(mult)):
+            flipped = [list(row) for row in mult]
+            s, k = flipped[i][j]
+            flipped[i][j] = (-s, k)
+            yield flipped
+
+
+def test_alternative_check_agrees_with_a_dict_vector_reference():
+    # the check visits a <= b only; the reference visits every (a, b, j)
+    shipped = _octonion_table()
+    tables = [shipped, *_single_sign_flips(shipped)]
+    tables += [_transpose(t) for t in tables]
+    tables += [LEFT_NOT_RIGHT, _transpose(LEFT_NOT_RIGHT)]
+    rejected = 0
+    for mult in tables:
+        failures = _alternative_failures(mult)
+        named = _check_failure(mult)
+        assert (named is None) == (not failures)
+        assert named is None or named in failures
+        rejected += named is not None
+    assert _check_failure(shipped) is None and _check_failure(_transpose(shipped)) is None
+    assert rejected == len(tables) - 2
 
 
 def test_octonion_malcev_not_lie(animals):

@@ -23,7 +23,12 @@ from malcevlab.construct import (
     heisenberg_algebra,
     octonion_malcev,
 )
-from malcevlab.engine import evaluate_identity, random_element, random_substitutions_vanish
+from malcevlab.engine import (
+    ScanBudgetExceeded,
+    evaluate_identity,
+    random_element,
+    random_substitutions_vanish,
+)
 from test_integral import rebased
 
 
@@ -260,3 +265,39 @@ def test_a_huge_jobs_value_asks_for_a_capped_pool(force_pool, monkeypatch):
     pooled = check_identity(oct7, ident, jobs=100_000)
     assert sizes == [min(os.cpu_count() or 1, oct7.dim)]
     assert _outcome(pooled) == _outcome(check_identity(oct7, ident, jobs=1))
+
+
+def test_an_unpruned_scan_over_the_bound_is_refused_before_it_starts(atilde, monkeypatch):
+    oct7 = octonion_malcev()  # not nilpotent: no class, every tuple is scanned
+    jacobi = catalog_identity("jacobi")
+    ident = parse_identity("d : x,y,z | x*y = 0")  # z has degree 0: no pruning
+    heis = heisenberg_algebra()
+    monkeypatch.setattr(engine, "MAX_UNPRUNED_TUPLES", 7 ** 3)
+    assert check_identity(oct7, jacobi).tuples_checked < 7 ** 3
+    assert check_identity(heis, ident, jobs=2).status == "fails"
+    product = parse_map("x,y,z | (x*y)*z")
+    assert check_skew_symmetric(oct7, product).status == "fails"
+    # a pruned scan may face more tuples: the bound is on unpruned ones
+    assert check_identity(atilde, catalog_identity("malcev")).tuples_checked == 23 ** 4
+
+    def no_scan(*args):
+        raise AssertionError("a scan started past the bound")
+
+    monkeypatch.setattr(engine, "_scan", no_scan)
+    monkeypatch.setattr(engine, "_pool", no_scan)
+    monkeypatch.setattr(engine, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(engine, "MAX_UNPRUNED_TUPLES", 7 ** 3 - 1)
+    for jobs in (1, 2):
+        with pytest.raises(ScanBudgetExceeded,
+                           match=r"^jacobi: .* 343 basis tuples \(7\^3\) exceeds the bound of 342$"):
+            check_identity(oct7, jacobi, jobs=jobs)
+    with pytest.raises(ScanBudgetExceeded, match=r"^map: .* 343 basis tuples"):
+        check_skew_symmetric(oct7, product)
+    monkeypatch.setattr(engine, "MAX_UNPRUNED_TUPLES", 26)
+    with pytest.raises(ScanBudgetExceeded, match=r"27 basis tuples \(3\^3\)"):
+        check_identity(heis, ident, jobs=2)
+
+
+def test_the_scan_bound_sits_above_the_largest_unpruned_scan():
+    # 4 variables on the 30-dim direct sum octonion_malcev + second_type_23
+    assert engine.MAX_UNPRUNED_TUPLES > 30 ** 4

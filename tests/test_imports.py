@@ -63,6 +63,21 @@ def test_each_command_loads_only_its_layers(child_env, tmp_path, argv, absent):
     assert not absent & set(loaded)
 
 
+def test_an_input_error_loads_no_engine(child_env, tmp_path):
+    # main's handler catches the engine's ScanBudgetExceeded only where the
+    # engine is loaded: an error before any scan loads no engine for it
+    path = tmp_path / "h.alg"
+    path.write_text("dim 3\nsc 0 1 -> 2:1\n")
+    loaded = _child(child_env, (
+        "import io, sys, json, contextlib\n"
+        "from malcevlab import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cli.main(['kernel', {str(tmp_path / 'missing.alg')!r}]) == 2\n"
+        f"    assert cli.main(['check', {str(path)!r}, 'no_such_identity']) == 2\n"
+        f"print(json.dumps({LOADED}))"))
+    assert "identities" in loaded and "engine" not in loaded
+
+
 # The function classify shares its name with its module: whichever is
 # imported first, the package attribute stays the function.
 IMPORT_ORDERS = [
