@@ -101,7 +101,7 @@ from operator import itemgetter
 from .algebra import Algebra, Element, accumulate, unscale
 from .identities import Identity, IdentityError, _combine, linearize
 from .rationals import normalize
-from .subspaces import filtration
+from .subspaces import _UNPRUNED, filtration
 from .words import canonicalize
 
 
@@ -343,10 +343,6 @@ def _scan(model, program, filt, first_indices=None):
         # run refers to itself; without this the cycle keeps the scan's
         # values and the model alive until the cyclic collector runs
         del run
-
-
-# the filtration without a class: every tuple is evaluated
-_UNPRUNED = (None, None)
 
 
 def _rank(indices, dim) -> int:

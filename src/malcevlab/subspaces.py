@@ -36,7 +36,12 @@ Jacobians come from one kernel (_Jacobians) whose pair products live for
 one call: jacobian_span, lie_kernel and power_jacobian_spans form each
 row-pair product once (basis rows read it from the structure constants),
 and a zero pair product skips its second product.  Only triples with a
-nonzero pair product are evaluated.  The structure suite's 20 spans
+nonzero pair product are evaluated, and of those only the ones whose
+weights sum below the class (_row_weights): a row's weight is the least
+filtration weight among its keys, a lower bound on its power in any
+basis, and J(A^a, A^b, A^c) lies in A^(a+b+c).  The weights and the class
+are the algebra's cached filtration, never a chain given by a caller,
+which need not be multiplicative.  The structure suite's 20 spans
 J(A^i, A^j, A^k) share one call: power_jacobian_spans evaluates each J of
 a basis adapted to the power chain once and files it under every triple
 of powers it belongs to.
@@ -44,7 +49,9 @@ of powers it belongs to.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .algebra import Algebra, DimensionMismatch, Element, accumulate, dense, unscale
@@ -257,21 +264,28 @@ class _Jacobians:
     indices a, b, c.
 
     The three first products are read from a table keyed by row-index pair
-    that lives as long as the kernel.  Each pair product is formed once, by
-    first(x, y) with x < y (default: the product of rows x and y), and
-    r_y r_x = -(r_x r_y) is read from the same entry.  Most pair products
-    of a nilpotent algebra are zero, and a zero one skips its second
-    product.
+    that lives as long as the kernel.  Each pair product is formed once,
+    for x < y, and r_y r_x = -(r_x r_y) is read from the same entry.  Rows
+    that are all basis vectors {k: 1} (keys lists their keys; else it is
+    None) read each pair product from the structure constants; other rows
+    form it.  Most pair products of a nilpotent algebra are zero, and a
+    zero one skips its second product.
     """
 
-    __slots__ = ("rows", "mul", "first", "n", "pairs")
+    __slots__ = ("rows", "mul", "first", "n", "pairs", "keys")
 
-    def __init__(self, model: Algebra, rows: list, first=None):
+    def __init__(self, model: Algebra, rows: list):
         self.rows = rows
-        self.mul = model.multiply_sparse
-        self.first = first or (lambda x, y: self.mul(rows[x], rows[y]))
+        self.mul = mul = model.multiply_sparse
         self.n = len(rows)
         self.pairs: dict = {}
+        keys = [min(r, default=None) for r in rows]
+        if all(r == {k: 1} for r, k in zip(rows, keys)):
+            self.keys = keys
+            self.first = lambda x, y: model.basis_product(keys[x], keys[y])
+        else:
+            self.keys = None
+            self.first = lambda x, y: mul(rows[x], rows[y])
 
     def pair(self, x: int, y: int) -> dict:
         """r_x r_y for x < y, else r_y r_x, from the table (do not mutate)."""
@@ -292,28 +306,56 @@ class _Jacobians:
         return out
 
 
-def _jacobian_triples(model: Algebra, rows: list) -> tuple:
+def _row_weights(rows: list, filt) -> tuple:
+    """(wt, limit): the weight rule of a Jacobian call over rows, under the
+    algebra's filtration filt = (weights, c).
+
+    wt[x] is the least weight among the keys of row x.  Each e_k lies in
+    A^weights[k], so the row lies in A^wt[x]: a lower bound on its power
+    in any basis, and exact for a basis row.  J(A^a, A^b, A^c) lies in
+    A^(a+b+c), so J(r_x, r_y, r_z) is exactly zero once wt[x] + wt[y] +
+    wt[z] reaches limit, the class c.  Without a class every weight is 0
+    and limit is 1: no sum reaches it, and nothing is skipped.
+    """
+    weights, c = filt
+    if c is None:
+        return [0] * len(rows), 1
+    return [min(weights[k] for k in r) for r in rows], c
+
+
+def _jacobian_triples(model: Algebra, rows: list, filt) -> tuple:
     """(jac, triples): the _Jacobians kernel over rows, and in increasing
     order the row-index triples a < b < c with a nonzero pair product
-    among r_a r_b, r_a r_c and r_b r_c.  Every other triple has J = 0.
+    among r_a r_b, r_a r_c and r_b r_c whose weights sum below the limit
+    (_row_weights under filt, the algebra's filtration).  Every other
+    triple has J = 0.
 
-    Rows that are all basis vectors {i: 1} read their pair products from
-    the structure constants, and the nonzero pairs are the stored ones: no
-    product is formed to find them.  Otherwise each row-pair product is
-    formed once, into the kernel's table.
+    A pair (x, y) is completed only by the rows z with wt[z] < limit -
+    wt[x] - wt[y], a prefix of the rows sorted by weight.  Rows that are
+    all basis vectors read the nonzero pairs from the structure constants:
+    no product is formed to find them.  Otherwise each row-pair product
+    that some row completes is formed once, into the kernel's table, and
+    a pair that no row completes forms none.
     """
     n = len(rows)
-    keys = [min(r) for r in rows]
-    if all(r == {k: 1} for r, k in zip(rows, keys)):
-        index = {k: x for x, k in enumerate(keys)}
-        jac = _Jacobians(model, rows, lambda x, y: model.basis_product(keys[x], keys[y]))
+    jac = _Jacobians(model, rows)
+    wt, limit = _row_weights(rows, filt)
+    order = sorted(range(n), key=wt.__getitem__)
+    ranked = [wt[z] for z in order]
+
+    def completing(x, y) -> int:
+        """How many rows of order, from its start, complete (x, y)."""
+        return bisect_right(ranked, limit - 1 - wt[x] - wt[y])
+
+    if jac.keys is not None:
+        index = {k: x for x, k in enumerate(jac.keys)}
         pairs = [(index[i], index[j]) for i, j in model.table if i in index and j in index]
     else:
-        jac = _Jacobians(model, rows)
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if jac.pair(x, y)]
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
+                 if completing(x, y) and jac.pair(x, y)]
     triples = set()
     for x, y in pairs:
-        for z in range(n):
+        for z in islice(order, completing(x, y)):
             if z != x and z != y:
                 triples.add(tuple(sorted((x, y, z))))
     return jac, sorted(triples)
@@ -430,6 +472,10 @@ def power_chain(algebra: Algebra, k_max: int) -> list:
     return list(chain[:k_max]) + [chain[-1]] * (k_max - len(chain))
 
 
+# the filtration without a class: nothing is skipped
+_UNPRUNED = (None, None)
+
+
 def filtration(algebra: Algebra):
     """(weights, c): weights[i] = max{k : e_i in A^k}, and c the nilpotency
     class (A^c = 0, A^(c-1) != 0), or None when the power chain settles at
@@ -437,9 +483,11 @@ def filtration(algebra: Algebra):
 
     Since A^a A^b lies in A^(a+b), a product tree of basis elements whose
     weights sum to c or more is exactly zero; without a class nothing is
-    skipped.  Both are read from stable_powers and cached on the algebra:
-    each e_i enters as {i: 1} and is reduced against one echelon per
-    power, so no dense basis is formed.
+    skipped.  Both are read from stable_powers and cached on the algebra.
+    A power holds e_i exactly when its echelon row with pivot i is a
+    multiple of e_i (the other rows are zero in column i), so each power
+    is read once, row by row: no basis vector is reduced and no dense
+    basis is formed.
     """
     cached = getattr(algebra, "_filtration", None)
     if cached is not None:
@@ -448,10 +496,9 @@ def filtration(algebra: Algebra):
     c = len(chain) if chain[-1].is_zero() else None
     weights = [0] * algebra.dim
     for power in chain[:-1]:
-        ech = power._echelon()
-        for i in range(algebra.dim):
-            if not ech._reduce({i: 1})[0]:
-                weights[i] += 1
+        for p, row in zip(power.pivots, power._rows):
+            if len(row) == 1:
+                weights[p] += 1
     weights = tuple(weights)
     algebra._filtration = (weights, c)
     return algebra._filtration
@@ -481,14 +528,17 @@ def lie_kernel(algebra: Algebra) -> Subspace:
     e_c) with a < b < c is computed once and scattered, with the sign of
     the permutation, into column a of the rows of pair (b, c), column b of
     pair (a, c) (negated) and column c of pair (a, b).  Only the triples
-    with a nonzero structure constant among their pairs are visited
-    (_jacobian_triples); every other J is zero.  Its first products e_a e_b
-    are structure-constant lookups, each read once per call, and a zero
-    one skips its second product.
+    with a nonzero structure constant among their pairs and filtration
+    weights summing below the class are visited (_jacobian_triples); every
+    other J is zero.  Its first products e_a e_b are structure-constant
+    lookups, each read once per call, and a zero one skips its second
+    product.  The weights are the algebra's cached filtration, so the
+    first call builds the power chain.
     """
     dim = algebra.dim
     # each J in the model is D^2 times the J here: the same constraints
-    jac, triples = _jacobian_triples(algebra.integral_model()[0], [{i: 1} for i in range(dim)])
+    jac, triples = _jacobian_triples(algebra.integral_model()[0], [{i: 1} for i in range(dim)],
+                                     filtration(algebra))
     rows: dict = {}  # (j, k, t) -> constraint row
     for a, b, c in triples:
         vec = jac(a, b, c)
@@ -526,10 +576,20 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
     """Span of J(u, v, w) over spanning-row triples (sufficient by
     multilinearity).
 
-    Each row-pair product is computed once per call (an equal space shares
-    its rows), and a zero one skips its second product.  A triple whose
-    three pair products are all zero has J = 0, so for a pair (u, v) with
-    uv = 0 only the w with vw or wu nonzero are visited.
+    Each row-pair product is formed once per call (an equal space shares
+    its rows; basis rows read it from the structure constants), and a zero
+    one skips its second product.  Three rules skip a triple whose J is
+    zero without evaluating it:
+    - weights: a triple whose weights reach the algebra's class
+      (_row_weights under its filtration), and a pair (u, v) that no row
+      of W completes below it, are skipped;
+    - activity: a row is active when a key of it has a partner among the
+      call's keys (read from the structure-constant index); only an active
+      row has a nonzero product with a row of the call, and a nonzero J
+      needs a nonzero pair product, so two active rows.  An inactive u
+      visits only active v;
+    - pairs: for a pair (u, v) with uv = 0, J needs vw or wu nonzero, so
+      only active w are visited.
     """
     spaces = (u_space, v_space, w_space)
     for s in spaces:
@@ -544,34 +604,39 @@ def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_spac
             starts[s] = len(rows)
             rows.extend(s._rows)
     ou, ov, ow = (starts[s] for s in spaces)
-    nw = w_space.dim
-    jac = _Jacobians(algebra.integral_model()[0], rows)
-    partners: dict = {}  # row x -> the c with r_x r_(ow+c) != 0
-
-    def partners_of(x):
-        found = partners.get(x)
-        if found is None:
-            found = partners[x] = {c for c in range(nw) if jac.pair(x, ow + c)}
-        return found
+    model = algebra.integral_model()[0]
+    jac = _Jacobians(model, rows)
+    wt, limit = _row_weights(rows, filtration(algebra))
+    keys = set().union(*rows)
+    partners = model.partners
+    active = [any(not keys.isdisjoint(partners.get(k, ())) for k in r) for r in rows]
+    v_end, w_end = ov + v_space.dim, ow + w_space.dim
+    v_active = [b for b in range(ov, v_end) if active[b]]
+    w_active = [c for c in range(ow, w_end) if active[c]]
+    # w_least[c - ow]: the least weight of the rows of W from c on
+    w_least = [limit] * (w_space.dim + 1)
+    for c in range(w_end - 1, ow - 1, -1):
+        w_least[c - ow] = min(wt[c], w_least[c - ow + 1])
 
     ech = _Echelon(algebra.dim)
     # J is alternating: where two spaces are equal, only strictly
     # increasing row pairs across them are needed (a repeated row gives 0,
     # a swapped pair the negative)
     same_uv, same_vw, same_uw = u_space == v_space, v_space == w_space, u_space == w_space
-    for a in range(u_space.dim):
-        for b in range(a + 1 if same_uv else 0, v_space.dim):
-            first = max(b + 1 if same_vw else 0, a + 1 if same_uw else 0)
-            if first >= nw:
+    for a in range(ou, ou + u_space.dim):
+        lo = a + 1 if same_uv else ov
+        bs = range(lo, v_end) if active[a] else v_active[bisect_left(v_active, lo):]
+        for b in bs:
+            budget = limit - 1 - wt[a] - wt[b]
+            first = max(b + 1 if same_vw else ow, a + 1 if same_uw else ow)
+            if w_least[first - ow] > budget:
                 continue
-            if jac.pair(ou + a, ov + b):
-                cs = range(first, nw)
-            else:  # J(a, b, c) = 0 unless r_b r_c or r_c r_a is nonzero
-                cs = sorted(c for c in partners_of(ov + b) | partners_of(ou + a) if c >= first)
+            cs = range(first, w_end) if jac.pair(a, b) else w_active[bisect_left(w_active, first):]
             for c in cs:
-                vec = jac(ou + a, ov + b, ow + c)
-                if vec:
-                    ech.insert(vec)
+                if wt[c] <= budget:
+                    vec = jac(a, b, c)
+                    if vec:
+                        ech.insert(vec)
     return ech.subspace()
 
 
@@ -592,9 +657,17 @@ def power_jacobian_spans(algebra: Algebra, chain, triples) -> dict:
     assignment of them to the three slots meets the bounds, that is, when
     their sorted weights w1 <= w2 <= w3 satisfy i <= w1, j <= w2 and k <=
     w3 for the sorted bounds i <= j <= k.  One _Jacobians table evaluates
-    each triple of B with a nonzero pair product once (_jacobian_triples;
-    every other J is zero), and each nonzero J goes into every requested
-    span whose bounds it meets.
+    each triple of B with a nonzero pair product and filtration weights
+    summing below the class once (_jacobian_triples; every other J is
+    zero), and each nonzero J goes into every requested span whose bounds
+    it meets.
+
+    The two weights of an element of B have different jobs.  Its power m
+    in the chain given files its J; its filtration weight, the least
+    weight of its keys, and the algebra's class c decide which J are
+    skipped.  The chain is only required to descend: a caller's chain
+    need not satisfy V_i V_j in V_(i+j), so neither its weights nor its
+    first zero power bound a J.
     """
     dim = algebra.dim
     if any(power.ambient_dim != dim for power in chain):
@@ -609,7 +682,7 @@ def power_jacobian_spans(algebra: Algebra, chain, triples) -> dict:
             if ech.insert(r):
                 rows.append(r)
                 weights.append(m)
-    jac, found = _jacobian_triples(algebra.integral_model()[0], rows)
+    jac, found = _jacobian_triples(algebra.integral_model()[0], rows, filtration(algebra))
     spans = {t: _Echelon(dim) for t in triples}
     bounds = [(sorted(t), out) for t, out in spans.items()]
     for a, b, c in found:

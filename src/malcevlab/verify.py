@@ -11,7 +11,11 @@ random-vs-exhaustive cross-check.
 The structure suite's Jacobian spans J(A^i, A^j, A^k), for all 20
 sorted power triples, come from one pass (power_jacobian_spans); one
 direct jacobian_span(A, A, A) call checks the pass's J(A, A, A), and a
-difference fails the check with one more detail line.
+difference fails the check with one more detail line.  Both skip the
+triples whose filtration weights reach the class by the same rule, so
+the direct call checks the pass's filing of each J, not that rule; the
+differential test of the pruning (tests/test_jacobian_pruning.py)
+checks it against the computation without a class.
 
 Reports are deterministic for a fixed seed: no timing, stable ordering,
 stable formatting, and the parallel job count does not change any value.

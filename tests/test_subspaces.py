@@ -5,7 +5,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -46,7 +45,8 @@ from malcevlab.construct import (
 )
 from malcevlab import verify
 from malcevlab.engine import random_element
-from malcevlab.subspaces import MAX_CHAIN, _jacobian_triples, _partners, filtration, stable_powers
+from malcevlab.subspaces import (
+    MAX_CHAIN, _UNPRUNED, _jacobian_triples, _partners, filtration, stable_powers)
 from malcevlab.verify import _power_triples, corrupted_psi_entries
 from conftest import count_products
 from test_integral import rebased
@@ -654,19 +654,28 @@ def test_jacobian_span_from_the_third_pair_alone():
     algebra = Algebra(5, None, {(0, 2): {3: 1}, (1, 3): {4: -1}})
     full = full_space(algebra)
     assert jacobian_span(algebra, full, full, full) == span(algebra, [algebra.basis_element(4)])
-    for spaces in [(full, full, full), (full, span(algebra, algebra.basis()[1:2]), full)]:
+    # with one basis vector per space, e2 has no product with e1 or e3,
+    # the other rows of the call, yet takes part through their product
+    e1, e2, e3 = (span(algebra, [e]) for e in algebra.basis()[:3])
+    for spaces in [(full, full, full), (full, span(algebra, algebra.basis()[1:2]), full),
+                   (e2, e1, e3), (e1, e2, e3), (e1, e3, e2)]:
         assert jacobian_span(algebra, *spaces) == _ordered_jacobian_span(algebra, *spaces)
 
 
 def test_product_counts():
     at = second_type_example()
     full = full_space(at)
-    # each pair product once, and one second product per nonzero pair and
-    # third row; the kernel reads e_a e_b from the structure constants
+    # the power chain and the weights are built once per algebra: built
+    # here, so only the Jacobian layer is counted
+    filtration(at)
+    # e_a e_b is read from the structure constants, and one second product
+    # is formed per nonzero pair and third row whose weights sum below the
+    # class 5: the 6 pairs of weights (1, 1) take the 8 other rows of
+    # weight <= 2, the 12 of weights (1, 2) the 3 other rows of weight 1
     nonzero_pairs = len(at.table)
     assert nonzero_pairs == 27
-    assert count_products(jacobian_span, at, full, full, full) == comb(23, 2) + 21 * nonzero_pairs
-    assert count_products(lie_kernel, at) == 21 * nonzero_pairs
+    assert count_products(jacobian_span, at, full, full, full) == 6 * 8 + 12 * 3 == 84
+    assert count_products(lie_kernel, at) == 84
     # rational_rebased's 16 triples: the closure's last pass makes the table
     rebased = Rebased(at, seeded_basis(at.dim, STRUCTURE_PATTERN, HALF, random.Random(3)))
     rng = random.Random(TRIPLE_SEED)
@@ -728,10 +737,12 @@ def test_power_jacobian_spans_on_rebased_algebras(animals, name, power, data):
 def test_power_jacobian_spans_product_count():
     # the adapted basis of the graded example is its basis: pair products
     # are structure-constant lookups, and one second product per nonzero
-    # pair and third element, 567 <= C(23, 2) + 21 * 27 = 820
+    # pair and third element whose weights sum below the class, as in
+    # lie_kernel (test_product_counts)
     at = second_type_example()
     chain = power_chain(at, 4)
-    assert count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 21 * len(at.table)
+    filtration(at)
+    assert count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 84
 
 
 def test_jacobian_triples_agree_on_basis_and_scaled_rows(animals):
@@ -739,8 +750,8 @@ def test_jacobian_triples_agree_on_basis_and_scaled_rows(animals):
     # scaled rows form each pair product: the same triples either way
     for name in SMALL_ZOO + ["quotient_22"]:
         algebra = animals[name]
-        _, from_table = _jacobian_triples(algebra, [{i: 1} for i in range(algebra.dim)])
-        _, from_products = _jacobian_triples(algebra, [{i: 2} for i in range(algebra.dim)])
+        _, from_table = _jacobian_triples(algebra, [{i: 1} for i in range(algebra.dim)], _UNPRUNED)
+        _, from_products = _jacobian_triples(algebra, [{i: 2} for i in range(algebra.dim)], _UNPRUNED)
         brute = [(a, b, c) for a in range(algebra.dim) for b in range(a + 1, algebra.dim)
                  for c in range(b + 1, algebra.dim)
                  if any(algebra.basis_product(x, y) for x, y in ((a, b), (a, c), (b, c)))]
@@ -804,6 +815,17 @@ def test_lie_kernel_of_a_large_abelian_algebra_forms_no_product():
     assert count_products(lie_kernel, algebra) == 0
     assert time.perf_counter() - t0 < 1.0
     assert lie_kernel(algebra) == full_space(algebra)
+
+
+def test_jacobian_span_of_the_largest_non_nilpotent_file():
+    # cross_product + abelian(9,997): no class, so no weight skips a
+    # triple, but only rows 0, 1 and 2 have a product; a nonzero J needs
+    # two of them, so the C(dim, 2) row pairs are never all visited
+    algebra = Algebra.from_text(f"dim {MAX_DIM}\nsc 0 1 -> 2:1\nsc 1 2 -> 0:1\nsc 0 2 -> 1:-1\n")
+    full = full_space(algebra)
+    t0 = time.perf_counter()
+    assert jacobian_span(algebra, full, full, full).is_zero()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_power_chain_at_the_largest_dim_forms_no_product():
