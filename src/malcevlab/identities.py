@@ -16,6 +16,11 @@ tighter than ``+``/``-``.  ``J(a,b,c)`` is sugar expanded at parse time to
 (ab)c + (bc)a + (ca)b, so the evaluation engine only ever sees binary
 product trees.  An identity must be multihomogeneous: every term has to
 share one multidegree, otherwise the parse is rejected.
+
+builtin_catalog() returns a read-only Mapping keyed by the name before the
+':' of each catalog source.  An entry is parsed the first time it is read
+and kept for the life of that mapping; membership, iteration, len() and the
+names parse nothing.  dict(builtin_catalog()) gives an eager copy.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -497,13 +503,41 @@ _CATALOG_SOURCES = [
 ]
 
 
-def builtin_catalog() -> dict:
-    """Named, parsed identity catalog (insertion order is stable)."""
-    catalog = {}
-    for src, claim, char in _CATALOG_SOURCES:
-        ident = parse_identity(src)
-        catalog[ident.name] = CatalogEntry(ident, claim, char)
-    return catalog
+class _Catalog(Mapping):
+    """The catalog sources by name (see builtin_catalog); [] parses."""
+
+    def __init__(self, sources):
+        self._sources = {src.split(":", 1)[0].strip(): (src, claim, char)
+                         for src, claim, char in sources}
+        self._entries: dict = {}
+
+    def __getitem__(self, name: str) -> CatalogEntry:
+        entry = self._entries.get(name)
+        if entry is None:
+            src, claim, char = self._sources[name]
+            entry = self._entries[name] = CatalogEntry(parse_identity(src), claim, char)
+        return entry
+
+    def __contains__(self, name) -> bool:
+        return name in self._sources
+
+    def __iter__(self):
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
+def builtin_catalog() -> Mapping:
+    """The named identity catalog, in a stable order, as a read-only
+    Mapping name -> CatalogEntry.
+
+    An entry is parsed when it is first read and kept for the life of the
+    returned mapping; each call parses its own entries.  in, iteration and
+    len parse nothing, and .items() / .values() parse every entry in
+    catalog order.  dict(builtin_catalog()) gives an eager copy.
+    """
+    return _Catalog(_CATALOG_SOURCES)
 
 
 def catalog_identity(name: str) -> Identity:

@@ -39,7 +39,10 @@ and a zero pair product skips its second product.  Only triples with a
 nonzero pair product are evaluated, and of those only the ones whose
 weights sum below the class (_row_weights): a row's weight is the least
 filtration weight among its keys, a lower bound on its power in any
-basis, and J(A^a, A^b, A^c) lies in A^(a+b+c).  The weights and the class
+basis, and J(A^a, A^b, A^c) lies in A^(a+b+c).  lie_kernel and
+power_jacobian_spans also complete a pair only with a row that has a key
+among the partners of the keys of the pair and of its product
+(_jacobian_triples); with any other row each term of J is zero.  The weights and the class
 are the algebra's cached filtration, never a chain given by a caller,
 which need not be multiplicative.  The structure suite's 20 spans
 J(A^i, A^j, A^k) share one call: power_jacobian_spans evaluates each J of
@@ -49,9 +52,8 @@ of powers it belongs to.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 from .algebra import Algebra, DimensionMismatch, Element, accumulate, dense, unscale
@@ -326,37 +328,39 @@ def _row_weights(rows: list, filt) -> tuple:
 def _jacobian_triples(model: Algebra, rows: list, filt) -> tuple:
     """(jac, triples): the _Jacobians kernel over rows, and in increasing
     order the row-index triples a < b < c with a nonzero pair product
-    among r_a r_b, r_a r_c and r_b r_c whose weights sum below the limit
-    (_row_weights under filt, the algebra's filtration).  Every other
-    triple has J = 0.
+    among r_a r_b, r_a r_c and r_b r_c, completed by a partner, whose
+    weights sum below the limit (_row_weights under filt, the algebra's
+    filtration).  Every other triple has J = 0.
 
-    A pair (x, y) is completed only by the rows z with wt[z] < limit -
-    wt[x] - wt[y], a prefix of the rows sorted by weight.  Rows that are
-    all basis vectors read the nonzero pairs from the structure constants:
-    no product is formed to find them.  Otherwise each row-pair product
-    that some row completes is formed once, into the kernel's table, and
-    a pair that no row completes forms none.
+    A nonzero pair (x, y) is completed only by the rows z with wt[z] <
+    limit - wt[x] - wt[y] and with a key among the partners (_partners)
+    of the keys of r_x, r_y and r_x r_y: for any other z, r_x r_z, r_y
+    r_z and (r_x r_y) r_z are all zero, and so is J.  Rows that are all
+    basis vectors read the nonzero pairs from the structure constants: no
+    product is formed to find them.  Otherwise each row-pair product that
+    some row completes by weight is formed once, into the kernel's table,
+    and a pair that no row completes forms none.
     """
     n = len(rows)
     jac = _Jacobians(model, rows)
     wt, limit = _row_weights(rows, filt)
-    order = sorted(range(n), key=wt.__getitem__)
-    ranked = [wt[z] for z in order]
-
-    def completing(x, y) -> int:
-        """How many rows of order, from its start, complete (x, y)."""
-        return bisect_right(ranked, limit - 1 - wt[x] - wt[y])
-
+    least = min(wt, default=limit)
+    holders: dict = {}  # key -> the rows that have it
+    for z, r in enumerate(rows):
+        for k in r:
+            holders.setdefault(k, []).append(z)
     if jac.keys is not None:
         index = {k: x for x, k in enumerate(jac.keys)}
         pairs = [(index[i], index[j]) for i, j in model.table if i in index and j in index]
     else:
         pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
-                 if completing(x, y) and jac.pair(x, y)]
+                 if least <= limit - 1 - wt[x] - wt[y] and jac.pair(x, y)]
     triples = set()
     for x, y in pairs:
-        for z in islice(order, completing(x, y)):
-            if z != x and z != y:
+        budget = limit - 1 - wt[x] - wt[y]
+        keys = rows[x].keys() | rows[y].keys() | jac.pair(x, y).keys()
+        for z in {z for j in _partners(model, keys) for z in holders.get(j, ())}:
+            if wt[z] <= budget and z != x and z != y:
                 triples.add(tuple(sorted((x, y, z))))
     return jac, sorted(triples)
 
@@ -528,9 +532,9 @@ def lie_kernel(algebra: Algebra) -> Subspace:
     e_c) with a < b < c is computed once and scattered, with the sign of
     the permutation, into column a of the rows of pair (b, c), column b of
     pair (a, c) (negated) and column c of pair (a, b).  Only the triples
-    with a nonzero structure constant among their pairs and filtration
-    weights summing below the class are visited (_jacobian_triples); every
-    other J is zero.  Its first products e_a e_b are structure-constant
+    with a nonzero structure constant among their pairs, completed by a
+    partner, and with filtration weights summing below the class are
+    visited (_jacobian_triples); every other J is zero.  Its first products e_a e_b are structure-constant
     lookups, each read once per call, and a zero one skips its second
     product.  The weights are the algebra's cached filtration, so the
     first call builds the power chain.
@@ -657,9 +661,9 @@ def power_jacobian_spans(algebra: Algebra, chain, triples) -> dict:
     assignment of them to the three slots meets the bounds, that is, when
     their sorted weights w1 <= w2 <= w3 satisfy i <= w1, j <= w2 and k <=
     w3 for the sorted bounds i <= j <= k.  One _Jacobians table evaluates
-    each triple of B with a nonzero pair product and filtration weights
-    summing below the class once (_jacobian_triples; every other J is
-    zero), and each nonzero J goes into every requested span whose bounds
+    each triple of B with a nonzero pair product, completed by a partner,
+    and with filtration weights summing below the class once
+    (_jacobian_triples; every other J is zero), and each nonzero J goes into every requested span whose bounds
     it meets.
 
     The two weights of an element of B have different jobs.  Its power m
@@ -774,15 +778,16 @@ def subalgebra_generate(algebra: Algebra, gens):
         if not grew:
             break
     sub = ech.subspace()
+    # the last pass inserted every product and grew nothing, so each lies
+    # in the span; closure also means it left the echelon rows unchanged
+    if sub._rows != tuple(rows):
+        raise RuntimeError("generated subspace not closed under products")
 
-    # the last pass added nothing: its rows are sub._rows, row a is
-    # scales[a] times sub.rows[a], and its products make the table
+    # row a is scales[a] times sub.rows[a], and the last pass's products
+    # make the table: a row has no entry in another row's pivot column
     scales = [r[p] for r, p in zip(sub._rows, sub.pivots)]
     table: dict = {}
     for (a, b), prod in products.items():
-        # closure guarantees the product lies in the subspace
-        if ech._reduce(prod)[0]:
-            raise RuntimeError("generated subspace not closed under products")
         coords = {t: prod[p] for t, p in enumerate(sub.pivots) if p in prod}
         if coords:
             table[(a, b)] = unscale(coords, scales[a] * scales[b] * d)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ from malcevlab import classify, lie_kernel, second_type_example
 from malcevlab.algebra import MAX_DIM, Algebra, dense
 from malcevlab.cli import MAX_POWERS, main
 from malcevlab.engine import MAX_UNPRUNED_TUPLES
+from malcevlab.identities import _CATALOG_SOURCES, parse_identity
 from malcevlab.rationals import parse_rational
 from malcevlab.subspaces import Subspace
 from conftest import count_products
@@ -164,6 +166,21 @@ def test_oversized_linearization_is_an_input_error(tmp_path, capped_python):
     done = capped_python("-m", "malcevlab.cli", "check", str(path), f"d : x,y | {term} = 0")
     assert done.returncode == 2, done.stderr
     assert "40320 terms" in done.stderr and not done.stdout
+
+
+def test_check_parses_only_the_identity_it_names(tmp_path, capsys):
+    out = tmp_path / "atilde.alg"
+    run_cli(capsys, "build", "paper-example", "-o", str(out))
+    with mock.patch("malcevlab.identities.parse_identity", wraps=parse_identity) as parse:
+        code, stdout, _ = run_cli(capsys, "check", str(out), "malcev")
+        assert code == 0 and "status: holds" in stdout
+        assert [c.args[0].split(" :")[0] for c in parse.call_args_list] == ["malcev"]
+        parse.reset_mock()
+        code, stdout, stderr = run_cli(capsys, "check", str(out), "no_such_identity")
+        assert parse.call_count == 0
+    names = ", ".join(parse_identity(src).name for src, _, _ in _CATALOG_SOURCES)
+    assert code == 2 and not stdout
+    assert stderr == f"error: unknown identity 'no_such_identity'; catalog names: {names}\n"
 
 
 def test_check_accepts_dsl(tmp_path, capsys):

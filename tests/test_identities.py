@@ -19,7 +19,8 @@ from malcevlab import (
 )
 from malcevlab.construct import cross_product_algebra, octonion_malcev
 from malcevlab.engine import evaluate_identity, random_element
-from malcevlab.identities import _CATALOG_SOURCES, MAX_NESTING, MAX_TERMS, _Parser
+from malcevlab.identities import (
+    _CATALOG_SOURCES, MAX_NESTING, MAX_TERMS, CatalogEntry, _Parser, catalog_identity)
 
 
 def side_as_dict(side):
@@ -191,6 +192,70 @@ def test_catalog_size_and_names():
     for entry in catalog.values():
         assert entry.claim
         assert entry.characteristic
+
+
+def _eager_catalog() -> dict:
+    """The catalog as a dict, every source parsed in order."""
+    entries = [CatalogEntry(parse_identity(src), claim, char) for src, claim, char in _CATALOG_SOURCES]
+    return {entry.identity.name: entry for entry in entries}
+
+
+def _counting_parses():
+    """Count the calls of parse_identity that the catalog makes."""
+    return mock.patch("malcevlab.identities.parse_identity", wraps=parse_identity)
+
+
+def test_catalog_entries_equal_the_eager_parse():
+    eager = _eager_catalog()
+    for src, claim, char in _CATALOG_SOURCES:
+        ident = parse_identity(src)
+        assert builtin_catalog()[ident.name] == CatalogEntry(ident, claim, char)
+    assert list(builtin_catalog()) == list(eager)
+    assert list(builtin_catalog().items()) == list(eager.items())
+    assert list(builtin_catalog().values()) == list(eager.values())
+    assert dict(builtin_catalog()) == eager and builtin_catalog() == eager
+    # the keys, read from the text before each ':', are the parsed names
+    assert len(builtin_catalog()) == len(_CATALOG_SOURCES) == len(eager) == 14
+
+
+def test_catalog_parses_an_entry_when_it_is_first_read():
+    catalog = builtin_catalog()
+    with _counting_parses() as parse:
+        assert "malcev" in catalog and "jacobi" in catalog
+        assert len(catalog) == 14 and len(list(catalog)) == 14
+        assert list(catalog.keys()) == list(_eager_catalog())
+        assert parse.call_count == 0
+        first = catalog["malcev"]
+        assert parse.call_count == 1
+        assert catalog["malcev"] is first and catalog.get("malcev") is first
+        assert parse.call_count == 1
+        list(catalog.items())
+        assert parse.call_count == 14
+    # each call parses its own entries: nothing outlives the mapping
+    with _counting_parses() as parse:
+        assert builtin_catalog()["malcev"] == first
+        assert catalog_identity("jacobi").name == "jacobi"
+        assert parse.call_count == 2
+
+
+def test_catalog_unknown_names():
+    catalog = builtin_catalog()
+    with _counting_parses() as parse:
+        assert "no_such_identity" not in catalog and "" not in catalog
+        with pytest.raises(KeyError):
+            catalog["no_such_identity"]
+        assert catalog.get("no_such_identity") is None
+        with pytest.raises(KeyError, match="catalog has: anticommutative, jacobi, malcev"):
+            catalog_identity("no_such_identity")
+        assert parse.call_count == 0
+
+
+def test_catalog_is_read_only():
+    catalog = builtin_catalog()
+    with pytest.raises(TypeError):
+        catalog["extra"] = catalog["malcev"]
+    with pytest.raises(TypeError):
+        del catalog["malcev"]
 
 
 def test_linearize_malcev_golden():

@@ -131,13 +131,14 @@ def test_power_jacobian_spans_on_drawn_chains_match_unpruned(animals, name, data
     assert_matches_unpruned(power_jacobian_spans, algebra, chain, triples)
 
 
-def test_the_example_evaluates_40_of_460_triples(atilde):
-    # 460 basis triples have a nonzero pair product, 10 of them a nonzero
-    # J; 40 have weights summing below the class 5
+def test_the_example_evaluates_34_of_97_triples(atilde):
+    # 97 basis triples have a nonzero pair product that the third basis
+    # vector completes (a partner of a key of the pair or its product),
+    # 10 of them a nonzero J; 34 have weights summing below the class 5
     rows = [{i: 1} for i in range(atilde.dim)]
     jac, plain = _jacobian_triples(atilde, rows, _UNPRUNED)
     _, pruned = _jacobian_triples(atilde, rows, filtration(atilde))
-    assert (len(plain), len(pruned)) == (460, 40)
+    assert (len(plain), len(pruned)) == (97, 34)
     assert set(pruned) <= set(plain)
     nonzero = [t for t in plain if jac(*t)]
     assert len(nonzero) == 10 and set(nonzero) <= set(pruned)

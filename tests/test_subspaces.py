@@ -675,7 +675,9 @@ def test_product_counts():
     nonzero_pairs = len(at.table)
     assert nonzero_pairs == 27
     assert count_products(jacobian_span, at, full, full, full) == 6 * 8 + 12 * 3 == 84
-    assert count_products(lie_kernel, at) == 84
+    # lie_kernel completes a pair only with a partner of its keys or its
+    # product's: a pair of weights (1, 1) drops the row of its own product
+    assert count_products(lie_kernel, at) == 6 * 7 + 12 * 3 == 78
     # rational_rebased's 16 triples: the closure's last pass makes the table
     rebased = Rebased(at, seeded_basis(at.dim, STRUCTURE_PATTERN, HALF, random.Random(3)))
     rng = random.Random(TRIPLE_SEED)
@@ -737,25 +739,38 @@ def test_power_jacobian_spans_on_rebased_algebras(animals, name, power, data):
 def test_power_jacobian_spans_product_count():
     # the adapted basis of the graded example is its basis: pair products
     # are structure-constant lookups, and one second product per nonzero
-    # pair and third element whose weights sum below the class, as in
-    # lie_kernel (test_product_counts)
+    # pair and third element that completes it, as in lie_kernel
+    # (test_product_counts)
     at = second_type_example()
     chain = power_chain(at, 4)
     filtration(at)
-    assert count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 84
+    assert count_products(power_jacobian_spans, at, chain, TRIPLES_OF_FOUR) == 78
+
+
+def _completed(algebra, x, y, z) -> bool:
+    """e_x e_y != 0, and e_z has a product with e_x, e_y or a key of e_x e_y."""
+    xy = algebra.basis_product(x, y)
+    return bool(xy) and any(algebra.basis_product(k, z) for k in (x, y, *xy))
 
 
 def test_jacobian_triples_agree_on_basis_and_scaled_rows(animals):
     # basis rows read the nonzero pairs from the structure constants,
-    # scaled rows form each pair product: the same triples either way
+    # scaled rows form each pair product: the same triples either way,
+    # those with a nonzero pair that the third basis vector completes
     for name in SMALL_ZOO + ["quotient_22"]:
         algebra = animals[name]
-        _, from_table = _jacobian_triples(algebra, [{i: 1} for i in range(algebra.dim)], _UNPRUNED)
+        jac, from_table = _jacobian_triples(
+            algebra, [{i: 1} for i in range(algebra.dim)], _UNPRUNED)
         _, from_products = _jacobian_triples(algebra, [{i: 2} for i in range(algebra.dim)], _UNPRUNED)
         brute = [(a, b, c) for a in range(algebra.dim) for b in range(a + 1, algebra.dim)
                  for c in range(b + 1, algebra.dim)
-                 if any(algebra.basis_product(x, y) for x, y in ((a, b), (a, c), (b, c)))]
+                 if any(_completed(algebra, x, y, z) for x, y, z in ((a, b, c), (a, c, b), (b, c, a)))]
         assert from_table == from_products == brute, name
+        # every triple with J != 0 is among them
+        nonzero_pair = [(a, b, c) for a in range(algebra.dim) for b in range(a + 1, algebra.dim)
+                        for c in range(b + 1, algebra.dim)
+                        if any(algebra.basis_product(x, y) for x, y in ((a, b), (a, c), (b, c)))]
+        assert {t for t in nonzero_pair if jac(*t)} <= set(from_table), name
 
 
 def test_power_jacobian_spans_from_the_third_pair_alone():
@@ -815,6 +830,17 @@ def test_lie_kernel_of_a_large_abelian_algebra_forms_no_product():
     assert count_products(lie_kernel, algebra) == 0
     assert time.perf_counter() - t0 < 1.0
     assert lie_kernel(algebra) == full_space(algebra)
+
+
+def test_lie_kernel_of_the_largest_non_nilpotent_file_forms_three_products():
+    # cross_product + abelian(9,997): no class, so no weight skips a
+    # triple, but a pair of rows 0, 1 and 2 is completed only by a
+    # partner, so only J(e0, e1, e2) is evaluated
+    algebra = Algebra.from_text(f"dim {MAX_DIM}\nsc 0 1 -> 2:1\nsc 1 2 -> 0:1\nsc 0 2 -> 1:-1\n")
+    filtration(algebra)
+    assert count_products(lie_kernel, algebra) <= 3
+    kernel = lie_kernel(algebra)
+    assert kernel == full_space(algebra)
 
 
 def test_jacobian_span_of_the_largest_non_nilpotent_file():
