@@ -28,32 +28,38 @@ constants of a quotient or of a generated subalgebra, are divided once by
 their known scale.
 
 The power chain is built once per algebra, to where it provably settles.
-Products with basis vectors are formed only for the partners of a vector's
-keys (_partners), read from the algebra's structure-constant index
-(Algebra.partners): A^1 A^(n-1) in the chain and the ideal test of a
-quotient.
-Jacobians come from one kernel (_Jacobians) whose pair products live for
-one call: jacobian_span, lie_kernel and power_jacobian_spans form each
-row-pair product once (basis rows read it from the structure constants),
-and a zero pair product skips its second product.  Only triples with a
-nonzero pair product are evaluated, and of those only the ones whose
-weights sum below the class (_row_weights): a row's weight is the least
-filtration weight among its keys, a lower bound on its power in any
-basis, and J(A^a, A^b, A^c) lies in A^(a+b+c).  lie_kernel and
-power_jacobian_spans also complete a pair only with a row that has a key
-among the partners of the keys of the pair and of its product
-(_jacobian_triples); with any other row each term of J is zero.  The weights and the class
-are the algebra's cached filtration, never a chain given by a caller,
-which need not be multiplicative.  The structure suite's 20 spans
-J(A^i, A^j, A^k) share one call: power_jacobian_spans evaluates each J of
-a basis adapted to the power chain once and files it under every triple
-of powers it belongs to.
+Every product the calculus forms is found by one partner rule, read from
+the algebra's structure-constant index (Algebra.partners): _holders maps
+each key to the rows that hold it, and _partner_rows returns the rows
+with a key among the partners of some keys; every other row has a zero
+product with a vector on those keys.  _insert_products forms only the
+products of partner rows, and a list times itself each unordered pair
+once: product_subspace (and through it ideal_closure) and every term
+A^i A^(n-i) of the power chain.  The quotient's ideal test forms row *
+e_j only for the partners j of the row's keys.
+Jacobians come from one enumerator (_jacobian_triples) and one kernel
+(_Jacobians) whose pair products live for one call: a pair of rows is
+formed only when they are partner rows, once (basis rows read it from
+the structure constants), and a zero pair product skips its second
+product.  A nonzero pair is completed only by a partner row of the keys
+of the pair and of its product, and only when the three weights sum
+below the class (_row_weights): a row's weight is the least filtration
+weight among its keys, a lower bound on its power in any basis, and
+J(A^a, A^b, A^c) lies in A^(a+b+c).  The weights and the class are the
+algebra's cached filtration, never a chain given by a caller, which need
+not be multiplicative.  lie_kernel, jacobian_span and
+power_jacobian_spans all read that enumerator: jacobian_span keeps a
+triple when its rows can be assigned to its three spaces, and the
+structure suite's 20 spans J(A^i, A^j, A^k) share one call of
+power_jacobian_spans, which evaluates each J of a basis adapted to the
+power chain once and files it under every triple of powers it belongs
+to.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 from .algebra import Algebra, DimensionMismatch, Element, accumulate, dense, unscale
@@ -268,13 +274,12 @@ class _Jacobians:
     The three first products are read from a table keyed by row-index pair
     that lives as long as the kernel.  Each pair product is formed once,
     for x < y, and r_y r_x = -(r_x r_y) is read from the same entry.  Rows
-    that are all basis vectors {k: 1} (keys lists their keys; else it is
-    None) read each pair product from the structure constants; other rows
-    form it.  Most pair products of a nilpotent algebra are zero, and a
+    that are all basis vectors {k: 1} read each pair product from the
+    structure constants; other rows form it.  Most pair products of a nilpotent algebra are zero, and a
     zero one skips its second product.
     """
 
-    __slots__ = ("rows", "mul", "first", "n", "pairs", "keys")
+    __slots__ = ("rows", "mul", "first", "n", "pairs")
 
     def __init__(self, model: Algebra, rows: list):
         self.rows = rows
@@ -283,10 +288,8 @@ class _Jacobians:
         self.pairs: dict = {}
         keys = [min(r, default=None) for r in rows]
         if all(r == {k: 1} for r, k in zip(rows, keys)):
-            self.keys = keys
             self.first = lambda x, y: model.basis_product(keys[x], keys[y])
         else:
-            self.keys = None
             self.first = lambda x, y: mul(rows[x], rows[y])
 
     def pair(self, x: int, y: int) -> dict:
@@ -328,48 +331,72 @@ def _row_weights(rows: list, filt) -> tuple:
 def _jacobian_triples(model: Algebra, rows: list, filt) -> tuple:
     """(jac, triples): the _Jacobians kernel over rows, and in increasing
     order the row-index triples a < b < c with a nonzero pair product
-    among r_a r_b, r_a r_c and r_b r_c, completed by a partner, whose
+    among r_a r_b, r_a r_c and r_b r_c, completed by a partner row, whose
     weights sum below the limit (_row_weights under filt, the algebra's
     filtration).  Every other triple has J = 0.
 
-    A nonzero pair (x, y) is completed only by the rows z with wt[z] <
-    limit - wt[x] - wt[y] and with a key among the partners (_partners)
-    of the keys of r_x, r_y and r_x r_y: for any other z, r_x r_z, r_y
-    r_z and (r_x r_y) r_z are all zero, and so is J.  Rows that are all
-    basis vectors read the nonzero pairs from the structure constants: no
-    product is formed to find them.  Otherwise each row-pair product that
-    some row completes by weight is formed once, into the kernel's table,
-    and a pair that no row completes forms none.
+    A pair (x, y) is formed only for the partner rows y of r_x's keys
+    (_partner_rows; r_x r_y = 0 for every other y), once, into the
+    kernel's table, and only when some row can complete it by weight.  A
+    nonzero pair is completed only by the rows z with wt[z] < limit -
+    wt[x] - wt[y] among the partner rows of the keys of r_x, r_y and
+    r_x r_y: for any other z, r_x r_z, r_y r_z and (r_x r_y) r_z are all
+    zero, and so is J.  Rows that are all basis vectors read each pair
+    from the structure constants: no product is formed to find them.
     """
-    n = len(rows)
     jac = _Jacobians(model, rows)
     wt, limit = _row_weights(rows, filt)
     least = min(wt, default=limit)
-    holders: dict = {}  # key -> the rows that have it
-    for z, r in enumerate(rows):
-        for k in r:
-            holders.setdefault(k, []).append(z)
-    if jac.keys is not None:
-        index = {k: x for x, k in enumerate(jac.keys)}
-        pairs = [(index[i], index[j]) for i, j in model.table if i in index and j in index]
-    else:
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)
-                 if least <= limit - 1 - wt[x] - wt[y] and jac.pair(x, y)]
+    holders = _holders(rows)
     triples = set()
-    for x, y in pairs:
-        budget = limit - 1 - wt[x] - wt[y]
-        keys = rows[x].keys() | rows[y].keys() | jac.pair(x, y).keys()
-        for z in {z for j in _partners(model, keys) for z in holders.get(j, ())}:
-            if wt[z] <= budget and z != x and z != y:
-                triples.add(tuple(sorted((x, y, z))))
+    for x, r in enumerate(rows):
+        for y in _partner_rows(model, r, holders):
+            budget = limit - 1 - wt[x] - wt[y]
+            if x < y and least <= budget:
+                p = jac.pair(x, y)
+                if p:
+                    for z in _partner_rows(model, r.keys() | rows[y].keys() | p.keys(), holders):
+                        if wt[z] <= budget and z != x and z != y:
+                            triples.add(tuple(sorted((x, y, z))))
     return jac, sorted(triples)
 
 
-def _partners(model: Algebra, v: dict) -> list:
-    """In increasing order, the j with e_j e_k != 0 for some key k of v:
-    e_j v = 0 for every other j."""
+def _holders(rows) -> dict:
+    """key -> the indices of the rows that have it."""
+    holders: dict = {}
+    for z, r in enumerate(rows):
+        for k in r:
+            holders.setdefault(k, []).append(z)
+    return holders
+
+
+def _partner_rows(model: Algebra, keys, holders: dict) -> set:
+    """The indices of the rows (holders, from _holders) with a key among
+    the partners of keys: every other row has a zero product with a
+    vector whose keys are among keys."""
+    return {z for j in _partners(model, keys) for z in holders.get(j, ())}
+
+
+def _partners(model: Algebra, keys) -> set:
+    """The j with e_j e_k != 0 for some k in keys (Algebra.partners)."""
     partners = model.partners
-    return sorted(set().union(*(partners.get(k, ()) for k in v)))
+    return set().union(*(partners.get(k, ()) for k in keys))
+
+
+def _insert_products(ech: _Echelon, model: Algebra, left, right) -> None:
+    """Insert into ech every nonzero product u v of a row u of left and a
+    row v of right.  Only the partner rows v of u's keys are multiplied
+    (_partner_rows): uv = 0 for every other v.  A list times itself forms
+    each unordered pair once, since vu = -uv and uu = 0."""
+    mul = model.multiply_sparse
+    holders = _holders(right)
+    same = left == right
+    for x, u in enumerate(left):
+        for y in _partner_rows(model, u, holders):
+            if x < y or not same:
+                prod = mul(u, right[y])
+                if prod:
+                    ech.insert(prod)
 
 
 def span(algebra: Algebra, gens) -> Subspace:
@@ -386,16 +413,11 @@ def full_space(algebra: Algebra) -> Subspace:
 
 def product_subspace(algebra: Algebra, left: Subspace, right: Subspace) -> Subspace:
     """Span of {uv : u in left, v in right}; spanning-set products suffice
-    by bilinearity."""
+    by bilinearity, and only partner rows are multiplied (_insert_products)."""
     if left.ambient_dim != algebra.dim or right.ambient_dim != algebra.dim:
         raise DimensionMismatch()
-    model = algebra.integral_model()[0]
     ech = _Echelon(algebra.dim)
-    for u in left._rows:
-        for v in right._rows:
-            prod = model.multiply_sparse(u, v)
-            if prod:
-                ech.insert(prod)
+    _insert_products(ech, algebra.integral_model()[0], left._rows, right._rows)
     return ech.subspace()
 
 
@@ -430,10 +452,9 @@ def stable_powers(algebra: Algebra) -> tuple:
     does not settle the chain: dim 5 with e1e2 = -e4, e1e3 = e2 and e2e4 =
     -e0 has power dimensions 5, 3, 2, 1, 1, 0.
 
-    A^1 A^(n-1) is spanned by the products e_j v over the rows v of
-    A^(n-1), and e_j v is zero unless j is a partner of some key of v
-    (_partners, read from the structure-constant index): only those are
-    formed, so an abelian algebra's chain forms no product at any dim.
+    Each term A^i A^(n-i) forms only the products of partner rows, and
+    A^i A^i each unordered pair once (_insert_products): an abelian
+    algebra's chain forms no product at any dim.
 
     The chain is built once and cached on the algebra (which is
     immutable); it also ends, unsettled, at MAX_CHAIN powers.
@@ -442,20 +463,12 @@ def stable_powers(algebra: Algebra) -> tuple:
     if cached is not None:
         return cached
     model = algebra.integral_model()[0]
-    mul = model.multiply_sparse
     chain = [full_space(algebra)]
     while not _settled(chain) and len(chain) < MAX_CHAIN:
         n = len(chain) + 1
         ech = _Echelon(algebra.dim)
-        for v in chain[n - 2]._rows:
-            for j in _partners(model, v):
-                ech.insert(mul({j: 1}, v))
-        for i in range(2, n // 2 + 1):
-            for u in chain[i - 1]._rows:
-                for v in chain[n - i - 1]._rows:
-                    prod = mul(u, v)
-                    if prod:
-                        ech.insert(prod)
+        for i in range(1, n // 2 + 1):
+            _insert_products(ech, model, chain[i - 1]._rows, chain[n - i - 1]._rows)
         chain.append(ech.subspace())
     algebra._power_chain = tuple(chain)
     return algebra._power_chain
@@ -576,71 +589,40 @@ def _nullspace(constraints: _Echelon, dim: int) -> Subspace:
     return ech.subspace()
 
 
+# the assignments of three rows to the spaces U, V, W (bits 1, 2, 4)
+_ASSIGNMENTS = tuple(permutations((1, 2, 4)))
+
+
 def jacobian_span(algebra: Algebra, u_space: Subspace, v_space: Subspace, w_space: Subspace) -> Subspace:
     """Span of J(u, v, w) over spanning-row triples (sufficient by
     multilinearity).
 
-    Each row-pair product is formed once per call (an equal space shares
-    its rows; basis rows read it from the structure constants), and a zero
-    one skips its second product.  Three rules skip a triple whose J is
-    zero without evaluating it:
-    - weights: a triple whose weights reach the algebra's class
-      (_row_weights under its filtration), and a pair (u, v) that no row
-      of W completes below it, are skipped;
-    - activity: a row is active when a key of it has a partner among the
-      call's keys (read from the structure-constant index); only an active
-      row has a nonzero product with a row of the call, and a nonzero J
-      needs a nonzero pair product, so two active rows.  An inactive u
-      visits only active v;
-    - pairs: for a pair (u, v) with uv = 0, J needs vw or wu nonzero, so
-      only active w are visited.
+    J is alternating: a repeated row gives 0 and a permutation changes
+    only the sign.  So the call works on its distinct rows, a row held by
+    two spaces entering once with both, and the span is that of the
+    J(a, b, c) over the triples a < b < c that _jacobian_triples lists
+    (every other J is zero) whose three rows can be assigned to the three
+    spaces.
     """
-    spaces = (u_space, v_space, w_space)
-    for s in spaces:
+    rows: list = []
+    slots: list = []  # the spaces that hold each row, as bits 1, 2, 4
+    index: dict = {}  # a row's items -> its position in rows
+    for bit, s in ((1, u_space), (2, v_space), (4, w_space)):
         if s.ambient_dim != algebra.dim:
             raise DimensionMismatch()
-    # one row list for the call; an equal space shares its rows, so a pair
-    # product met through either space is formed once
-    starts: dict = {}
-    rows: list = []
-    for s in spaces:
-        if s not in starts:
-            starts[s] = len(rows)
-            rows.extend(s._rows)
-    ou, ov, ow = (starts[s] for s in spaces)
-    model = algebra.integral_model()[0]
-    jac = _Jacobians(model, rows)
-    wt, limit = _row_weights(rows, filtration(algebra))
-    keys = set().union(*rows)
-    partners = model.partners
-    active = [any(not keys.isdisjoint(partners.get(k, ())) for k in r) for r in rows]
-    v_end, w_end = ov + v_space.dim, ow + w_space.dim
-    v_active = [b for b in range(ov, v_end) if active[b]]
-    w_active = [c for c in range(ow, w_end) if active[c]]
-    # w_least[c - ow]: the least weight of the rows of W from c on
-    w_least = [limit] * (w_space.dim + 1)
-    for c in range(w_end - 1, ow - 1, -1):
-        w_least[c - ow] = min(wt[c], w_least[c - ow + 1])
-
+        for r in s._rows:
+            x = index.setdefault(frozenset(r.items()), len(rows))
+            if x == len(rows):
+                rows.append(r)
+                slots.append(0)
+            slots[x] |= bit
+    jac, triples = _jacobian_triples(algebra.integral_model()[0], rows, filtration(algebra))
     ech = _Echelon(algebra.dim)
-    # J is alternating: where two spaces are equal, only strictly
-    # increasing row pairs across them are needed (a repeated row gives 0,
-    # a swapped pair the negative)
-    same_uv, same_vw, same_uw = u_space == v_space, v_space == w_space, u_space == w_space
-    for a in range(ou, ou + u_space.dim):
-        lo = a + 1 if same_uv else ov
-        bs = range(lo, v_end) if active[a] else v_active[bisect_left(v_active, lo):]
-        for b in bs:
-            budget = limit - 1 - wt[a] - wt[b]
-            first = max(b + 1 if same_vw else ow, a + 1 if same_uw else ow)
-            if w_least[first - ow] > budget:
-                continue
-            cs = range(first, w_end) if jac.pair(a, b) else w_active[bisect_left(w_active, first):]
-            for c in cs:
-                if wt[c] <= budget:
-                    vec = jac(a, b, c)
-                    if vec:
-                        ech.insert(vec)
+    for a, b, c in triples:
+        if any(slots[a] & p and slots[b] & q and slots[c] & r for p, q, r in _ASSIGNMENTS):
+            vec = jac(a, b, c)
+            if vec:
+                ech.insert(vec)
     return ech.subspace()
 
 
@@ -730,7 +712,7 @@ def quotient_algebra(algebra: Algebra, ideal: Subspace):
     model, d = algebra.integral_model()
     ech = ideal._echelon()
     for t, (row, p) in enumerate(zip(ideal._rows, ideal.pivots)):
-        for j in _partners(model, row):
+        for j in sorted(_partners(model, row)):
             prod = model.multiply_sparse(row, {j: 1})
             if prod and ech._reduce(prod)[0]:
                 raise NotAnIdealError(t, j, algebra._from_sparse(unscale(prod, row[p] * d)))

@@ -315,9 +315,9 @@ def test_powers_trims_when_stable(tmp_path, capsys):
     code, stdout, _ = ran[0]
     assert code == 0
     # one chain, stopped at A^2 = A, serves the listing and the verdict:
-    # A^2 = A A forms e_j e_k for the 3 * 2 ordered pairs of distinct basis
-    # vectors, each a stored structure constant
-    assert products == 6
+    # A^2 = A A forms e_j e_k once for each of the 3 unordered pairs of
+    # distinct basis vectors, each a stored structure constant
+    assert products == 3
     assert "power.1: 3" in stdout and "power.2: 3" in stdout
     assert "power.3" not in stdout  # stabilized
     assert "nilpotent: no" in stdout
@@ -331,10 +331,10 @@ def test_powers_max_stops_building_at_zero_and_is_capped(tmp_path, capsys):
         lambda: ran.append(run_cli(capsys, "powers", str(out), "--max", str(MAX_POWERS))))
     code, stdout, _ = ran[0]
     assert code == 0
-    # A^3 = 0 ends the chain (A^2 = A A: p q and q p, the one stored pair
-    # both ways; A^3 = A A^2: z has no partner, no product): the later
-    # powers are listed, not built
-    assert products == 2
+    # A^3 = 0 ends the chain (A^2 = A A: p q, the one stored pair, once;
+    # A^3 = A A^2: z has no partner, no product): the later powers are
+    # listed, not built
+    assert products == 1
     assert "power.2: 1" in stdout and "power.3: 0" in stdout
     assert f"power.{MAX_POWERS}: 0" in stdout and f"power.{MAX_POWERS + 1}" not in stdout
     for k in (MAX_POWERS + 1, 0, -2):

@@ -145,9 +145,10 @@ def test_the_example_evaluates_34_of_97_triples(atilde):
 
 
 def test_pruned_triples_agree_on_basis_and_scaled_rows(animals):
-    # basis rows read the nonzero pairs from the structure constants,
-    # scaled rows form each product of a pair some row completes: the
-    # same triples, those of the plain list whose weights sum below c
+    # basis rows read each pair product from the structure constants,
+    # scaled rows form the product of each partner pair that some row
+    # completes by weight: the same triples, those of the plain list
+    # whose weights sum below c
     for name in ["heisenberg", "free_3_3", "quotient_22", "second_type_23", "free_3_5"]:
         algebra = animals[name]
         weights, c = filt = filtration(algebra)

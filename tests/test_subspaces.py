@@ -145,12 +145,13 @@ def test_power_chain_values(atilde, base22):
 
 def test_one_power_chain_per_algebra():
     # the stopped chain (the filtration's, A^1..A^5 = 0) and power_chain
-    # read one cached chain: its 692 products are made once, either way
+    # read one cached chain: its 60 products, of partner rows only, are
+    # made once, either way
     at = second_type_example()
-    assert count_products(filtration, at) == 692
+    assert count_products(filtration, at) == 60
     assert count_products(power_chain, at, 5) == 0
     at = second_type_example()
-    assert count_products(power_chain, at, 3) + count_products(power_chain, at, 5) == 692
+    assert count_products(power_chain, at, 3) + count_products(power_chain, at, 5) == 60
     assert count_products(stable_powers, at) == 0
     assert power_chain(at, 6)[:5] == list(stable_powers(at))
     assert power_chain(at, 6)[5].is_zero()
@@ -670,13 +671,14 @@ def test_product_counts():
     filtration(at)
     # e_a e_b is read from the structure constants, and one second product
     # is formed per nonzero pair and third row whose weights sum below the
-    # class 5: the 6 pairs of weights (1, 1) take the 8 other rows of
-    # weight <= 2, the 12 of weights (1, 2) the 3 other rows of weight 1
+    # class 5 and that is a partner of the keys of the pair or its product:
+    # the 6 pairs of weights (1, 1) take 7 of the 8 other rows of weight
+    # <= 2 (not the row of their own product), the 12 of weights (1, 2)
+    # the 3 other rows of weight 1; jacobian_span and lie_kernel read the
+    # same triples
     nonzero_pairs = len(at.table)
     assert nonzero_pairs == 27
-    assert count_products(jacobian_span, at, full, full, full) == 6 * 8 + 12 * 3 == 84
-    # lie_kernel completes a pair only with a partner of its keys or its
-    # product's: a pair of weights (1, 1) drops the row of its own product
+    assert count_products(jacobian_span, at, full, full, full) == 6 * 7 + 12 * 3 == 78
     assert count_products(lie_kernel, at) == 6 * 7 + 12 * 3 == 78
     # rational_rebased's 16 triples: the closure's last pass makes the table
     rebased = Rebased(at, seeded_basis(at.dim, STRUCTURE_PATTERN, HALF, random.Random(3)))
@@ -754,8 +756,8 @@ def _completed(algebra, x, y, z) -> bool:
 
 
 def test_jacobian_triples_agree_on_basis_and_scaled_rows(animals):
-    # basis rows read the nonzero pairs from the structure constants,
-    # scaled rows form each pair product: the same triples either way,
+    # basis rows read each pair product from the structure constants,
+    # scaled rows form it: the same triples either way,
     # those with a nonzero pair that the third basis vector completes
     for name in SMALL_ZOO + ["quotient_22"]:
         algebra = animals[name]
@@ -852,6 +854,22 @@ def test_jacobian_span_of_the_largest_non_nilpotent_file():
     t0 = time.perf_counter()
     assert jacobian_span(algebra, full, full, full).is_zero()
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_products_of_the_largest_non_nilpotent_file_form_only_partner_rows():
+    # cross_product + abelian(9,997): A A multiplies only partner rows,
+    # each unordered pair once, so it forms e0 e1, e0 e2 and e1 e2 (all
+    # pairs would be 10^8 products); the closure of e0 forms e0 e_j for
+    # its 2 partners, then the 6 partner pairs of <e0, e1, e2> and A
+    algebra = Algebra.from_text(f"dim {MAX_DIM}\nsc 0 1 -> 2:1\nsc 1 2 -> 0:1\nsc 0 2 -> 1:-1\n")
+    full = full_space(algebra)
+    e0 = span(algebra, [algebra.basis_element(0)])
+    cross = span(algebra, [algebra.basis_element(i) for i in range(3)])
+    for fn, args, products in [(product_subspace, (full, full), 3), (ideal_closure, (e0,), 8)]:
+        t0 = time.perf_counter()
+        assert count_products(fn, algebra, *args) == products, fn.__name__
+        assert time.perf_counter() - t0 < 1.0, fn.__name__
+        assert fn(algebra, *args) == cross, fn.__name__
 
 
 def test_power_chain_at_the_largest_dim_forms_no_product():
